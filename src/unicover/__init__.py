@@ -59,7 +59,6 @@ from .entropy import (
 )
 from .verify import (
     CheckReport,
-    check_circle_quotient,
     check_eq6,
     check_geodesic_minimality,
     check_lemma4,

@@ -35,19 +35,8 @@ import numpy as np
 
 from .groups import GroupSpec, HomSpace, SubgroupSpec
 from .matcore import InvalidArgumentError
-from .invariants import (
-    diameter_known,
-    kappa_known,
-    kappa_lower,
-    theta_known,
-)
-from .entropy import (
-    certify_cover,
-    greedy_net,
-    greedy_packing,
-    linearized_cover,
-    theorem8_bounds,
-)
+from .invariants import diameter_known, kappa_lower, theta_known
+from .entropy import greedy_net, greedy_packing, theorem8_bounds
 from . import verify as verify_mod
 
 CSV_COLUMNS = [
@@ -214,8 +203,11 @@ def run_task(space_or_group, space: HomSpace, task: dict, out_dir: str) -> int:
         lines = []
         for eps in task["epsilon_grid"]:
             rep = theorem8_bounds(space_or_group, eps)
+            # a bound the space does not pin down is an empty field
+            lower, upper = ("" if b is None else b
+                            for b in (rep.lower_bound, rep.upper_bound))
             lines.append(
-                f"{sid},{eps},{rep.lower_bound},{rep.upper_bound},"
+                f"{sid},{eps},{lower},{upper},"
                 f"{rep.lower_applicable},{rep.upper_applicable},{rep.c},{rep.C}"
             )
         _atomic_write(
@@ -279,10 +271,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the seed in the config")
     run_p.add_argument("--out-dir", default=".", help="output directory")
-    run_p.add_argument("--threads", type=int, default=0,
-                       help="worker threads (0 = auto)")
-    run_p.add_argument("--override-kappa-gate", action="store_true",
-                       help="allow the linearized cover without kappa = 1")
     args = ap.parse_args(argv)
 
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))

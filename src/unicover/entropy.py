@@ -20,11 +20,12 @@ from .groups import (
     GroupElement,
     GroupSpec,
     HomSpace,
+    SubgroupSpec,
     _mat,
     component_basis,
     haar_sample,
 )
-from .metrics import CosetPoint, intrinsic_dist, grassmann_dist, quotient_dist_upper
+from .metrics import CosetPoint, _closed_form_dists, quotient_dist_upper
 from .invariants import (
     diameter_known,
     kappa_known,
@@ -64,59 +65,34 @@ class BoundReport:
     upper_applicable: bool
 
 
-def _is_grassmann_like(space: SpaceLike) -> bool:
-    if not isinstance(space, HomSpace):
-        return False
-    sub = space.subgroup
-    return sub.kind == "grassmann" or (
-        sub.kind == "block_diagonal" and len(sub.blocks(space.n)) == 2
-    )
-
-
-def _frame_of(space: HomSpace, u: np.ndarray) -> np.ndarray:
-    k = space.subgroup.blocks(space.n)[0]
-    return u[:, :k]
+def _as_space(space: SpaceLike) -> HomSpace:
+    """A bare group is its quotient by the trivial subgroup."""
+    if isinstance(space, GroupSpec):
+        return HomSpace(space, SubgroupSpec.trivial())
+    return space
 
 
 def sample_point(space: SpaceLike, rng) -> np.ndarray:
     """Haar sample, stored as a group representative matrix."""
-    g = space.group if isinstance(space, HomSpace) else space
-    return _mat(haar_sample(g, rng))
-
-
-def point_dist(space: SpaceLike, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance in the space the points live in (intrinsic operator metric
-    on a group; quotient metric, via closed form where available, on a
-    homogeneous space)."""
-    if not isinstance(space, HomSpace):
-        return intrinsic_dist(a, b)
-    if _is_grassmann_like(space):
-        return grassmann_dist(_frame_of(space, a), _frame_of(space, b), space.norm)
-    p = CosetPoint(GroupElement(a, space.group), space)
-    q = CosetPoint(GroupElement(b, space.group), space)
-    return quotient_dist_upper(p, q)
+    return _mat(haar_sample(_as_space(space).group, rng))
 
 
 def dists_to_centers(space: SpaceLike, a: np.ndarray, centers) -> np.ndarray:
-    """Vector of distances from one point to each center (batched where the
-    metric allows it)."""
+    """Vector of distances from one point to each center: the intrinsic
+    metric on a group, the quotient metric on a homogeneous space.  Batched
+    over the centers where the space has a closed form; otherwise an
+    optimizer upper bound per center."""
+    space = _as_space(space)
     if len(centers) == 0:
         return np.zeros(0)
-    stack = np.stack(centers)
-    if not isinstance(space, HomSpace):
-        w = np.einsum("ji,kjl->kil", a.conj(), stack)
-        phases = np.angle(np.linalg.eigvals(w))
-        return np.max(np.abs(phases), axis=1)
-    if _is_grassmann_like(space):
-        k = space.subgroup.blocks(space.n)[0]
-        e = _frame_of(space, a)
-        gram = np.einsum("ji,kjl->kil", e.conj(), stack[:, :, :k])
-        s = np.linalg.svd(gram, compute_uv=False)
-        angles = np.arccos(np.clip(s, 0.0, 1.0))
-        if space.norm.is_operator:
-            return np.max(angles, axis=1)
-        return np.array([space.norm.of_singular_values(row) for row in angles])
-    return np.array([point_dist(space, a, c) for c in centers])
+    d = _closed_form_dists(space, a, np.stack(centers))
+    if d is not None:
+        return d
+    p = CosetPoint(GroupElement(a, space.group), space)
+    return np.array([
+        quotient_dist_upper(p, CosetPoint(GroupElement(c, space.group), space))
+        for c in centers
+    ])
 
 
 def greedy_packing(
@@ -138,6 +114,7 @@ def greedy_packing(
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
+    space = _as_space(space)
     rng = np.random.default_rng(rng)
     centers: List[np.ndarray] = []
     stream = list(initial) if initial is not None else []
@@ -159,6 +136,7 @@ def greedy_packing(
 def verify_separated(space: SpaceLike, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
     epsilon; raises on any violation."""
+    space = _as_space(space)
     for i, c in enumerate(centers):
         if i == 0:
             continue
@@ -182,13 +160,14 @@ def greedy_net(
     epsilon * (1 + slack) of a center, or the center budget runs out."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
+    space = _as_space(space)
     rng = np.random.default_rng(rng)
     probes = [sample_point(space, rng) for _ in range(probe_budget)]
     centers: List[np.ndarray] = [probes[0]]
     nearest = np.full(len(probes), np.inf)
     exhausted = False
     while True:
-        nearest = np.minimum(nearest, _dists_from_center(space, centers[-1], probes))
+        nearest = np.minimum(nearest, dists_to_centers(space, centers[-1], probes))
         worst = int(np.argmax(nearest))
         if nearest[worst] <= epsilon * (1.0 + slack):
             break
@@ -205,11 +184,6 @@ def greedy_net(
         probe_count=probe_budget,
         probe_max_dist=float(np.max(nearest)),
     )
-
-
-def _dists_from_center(space: SpaceLike, center, probes) -> np.ndarray:
-    """Distances from one center to many probes (reuses the batched path)."""
-    return dists_to_centers(space, center, probes)
 
 
 def volume_bounds(d: int, R: float, epsilon: float) -> Tuple[float, float]:
@@ -279,6 +253,7 @@ def certify_cover(
 ) -> float:
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it."""
+    space = _as_space(space)
     rng = np.random.default_rng(rng)
     worst = 0.0
     for _ in range(probe_budget):

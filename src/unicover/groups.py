@@ -4,7 +4,8 @@ orthogonal projections onto a subalgebra and its complement.
 Supported subgroups of U(n) / SO(n): trivial, special (determinant one),
 block-diagonal for a given partition of n, tensor-factor (m identical k-by-k
 diagonal blocks, mk = n) and the Grassmann case (block-diagonal with two
-blocks [k, n-k]).
+blocks [k, n-k]); a space built on a two-block block-diagonal subgroup holds
+it as the Grassmann case.
 """
 
 from __future__ import annotations
@@ -143,6 +144,10 @@ class HomSpace:
 
     def __post_init__(self):
         self.subgroup.validate_for(self.group)
+        sub = self.subgroup
+        if sub.kind == "block_diagonal" and len(sub.partition) == 2:
+            # two blocks fix a subspace and its complement: a Grassmannian
+            object.__setattr__(self, "subgroup", SubgroupSpec.grassmann(sub.partition[0]))
         if self.dim <= 0:
             raise InvalidArgumentError("quotient must have positive dimension")
 

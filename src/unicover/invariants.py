@@ -9,7 +9,6 @@ above via explicit witnesses).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 from typing import Optional
 
 import numpy as np
@@ -18,7 +17,6 @@ from .matcore import InvalidArgumentError, expm_skew, opnorm
 from .groups import (
     GroupElement,
     HomSpace,
-    _mat,
     _project_H_mat,
     _skew_gaussian,
     haar_sample,
@@ -43,12 +41,7 @@ class InvariantReport:
 
 def kappa_known(space: HomSpace) -> Optional[float]:
     """Closed-form complement-projection norm, when the structure pins it."""
-    sub = space.subgroup
-    if sub.kind == "trivial":
-        return 1.0
-    if sub.kind == "grassmann":
-        return 1.0
-    if sub.kind == "block_diagonal" and len(sub.blocks(space.n)) == 2:
+    if space.subgroup.kind in ("trivial", "grassmann"):
         return 1.0
     return None
 
@@ -96,16 +89,10 @@ def kappa_lower(space: HomSpace, samples: int = 200, rng=0) -> float:
 def theta_known(space: HomSpace) -> Optional[float]:
     """Closed-form weaving threshold, when known; see theta_units for the
     convention the value is quoted in."""
-    sub = space.subgroup
-    if sub.kind == "trivial":
+    kind = space.subgroup.kind
+    if kind in ("trivial", "grassmann"):
         return np.pi
-    if sub.kind == "grassmann":
-        return np.pi
-    if sub.kind == "block_diagonal":
-        if len(sub.blocks(space.n)) == 2:
-            return np.pi  # two blocks: a Grassmannian
-        return 2.0
-    if sub.kind == "tensor_factor":
+    if kind in ("block_diagonal", "tensor_factor"):
         return 2.0
     return None  # special: only the witness upper bound
 
@@ -114,12 +101,9 @@ def theta_units(space: HomSpace) -> Optional[str]:
     """Units of theta_known: the multi-block and tensor-factor value 2 is
     the extrinsic norm value at intrinsic distance pi; the rest are
     intrinsic."""
-    sub = space.subgroup
     if theta_known(space) is None:
         return None
-    if sub.kind == "tensor_factor" or (
-        sub.kind == "block_diagonal" and len(sub.blocks(space.n)) > 2
-    ):
+    if space.subgroup.kind in ("block_diagonal", "tensor_factor"):
         return "extrinsic"
     return "intrinsic"
 
@@ -129,25 +113,25 @@ def extrinsic_of_intrinsic(rho: float) -> float:
     return float(abs(1 - np.exp(1j * rho)))
 
 
-def _min_log_norm_diag(phases: np.ndarray, traceless: bool, branch_range: int = 2) -> float:
+def _min_log_norm_diag(phases: np.ndarray, traceless: bool) -> float:
     """Minimal operator norm of a diagonal skew logarithm of
     diag(exp(i phases)), restricted to trace zero when traceless.
 
-    Branches are enumerated over a small integer window; phases are assumed
-    principal.
+    Phases are assumed principal.  A trace-zero logarithm shifts branches
+    phi_j - 2 pi k_j with sum k_j = K = sum phi / 2 pi; the max norm is
+    least when the shifts fall on the K largest phases (or, for K < 0, +2 pi
+    on the |K| smallest).
     """
-    n = len(phases)
     if not traceless:
         return float(np.max(np.abs(phases)))
-    best = np.inf
-    # candidate branch shifts phi_j + 2 pi k_j with sum constrained to zero
-    total = np.sum(phases) / (2 * np.pi)
-    for ks in iter_product(range(-branch_range, branch_range + 1), repeat=n):
-        if abs(total + sum(ks)) > 1e-9:
-            continue
-        cand = np.max(np.abs(phases + 2 * np.pi * np.array(ks)))
-        best = min(best, cand)
-    return float(best)
+    order = np.argsort(phases)
+    K = int(round(np.sum(phases) / (2 * np.pi)))
+    ks = np.zeros(len(phases))
+    if K > 0:
+        ks[order[len(phases) - K:]] = 1
+    elif K < 0:
+        ks[order[:-K]] = -1
+    return float(np.max(np.abs(phases - 2 * np.pi * ks)))
 
 
 def theta_witness_upper(
@@ -241,9 +225,7 @@ def diameter_known(space_or_group) -> Optional[float]:
     sub = space_or_group.subgroup
     if sub.kind == "trivial":
         return diameter_known(space_or_group.group)
-    if sub.kind == "grassmann" or (
-        sub.kind == "block_diagonal" and len(sub.blocks(space_or_group.n)) == 2
-    ):
+    if sub.kind == "grassmann":
         return np.pi / 2
     if sub.kind == "special":
         return np.pi / space_or_group.n
@@ -269,10 +251,12 @@ def diameter_estimate(
             CosetPoint(u, space), CosetPoint(v, space), restarts=restarts, rng=rng
         )
         best = max(best, d)
-    # sweeps along exp(t x), x in the complement; the max over t is refined
+    # sweeps along exp(t x), x in the complement with operator norm pi so
+    # that t in (0, 1] reaches the antipode; the max over t is refined
     # locally after a coarse scan
     for _ in range(max(1, samples // 8)):
         x = tangent_sample(space, "X", np.pi, rng).matrix
+        x = np.pi * x / opnorm(x)
 
         def dist_at(t):
             u = GroupElement(expm_skew(t * x), g)

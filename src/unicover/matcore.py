@@ -82,14 +82,18 @@ class NormSpec:
             self.kind == "schatten" and np.isinf(self.p)
         )
 
-    def of_singular_values(self, s) -> float:
-        """Apply the symmetric gauge to a vector of nonnegative reals."""
+    def of_singular_values(self, s):
+        """Apply the symmetric gauge to a vector of nonnegative reals; a
+        stack of vectors is reduced over its last axis, one value per row."""
         s = np.abs(np.asarray(s, dtype=float))
         if self.is_operator:
-            return float(np.max(s)) if s.size else 0.0
-        if self.kind == "schatten":
-            return float(np.sum(s ** self.p) ** (1.0 / self.p))
-        return float(self.gauge_fn(s))
+            out = np.max(s, axis=-1, initial=0.0)
+        elif self.kind == "schatten":
+            out = np.sum(s ** self.p, axis=-1) ** (1.0 / self.p)
+        else:
+            # a custom gauge is a scalar callback, so it runs row by row
+            out = np.apply_along_axis(self.gauge_fn, -1, s)
+        return float(out) if s.ndim == 1 else out
 
 
 OPERATOR = NormSpec.operator()

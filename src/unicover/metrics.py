@@ -3,9 +3,9 @@ homogeneous spaces; curve length and one-parameter-subgroup geodesics.
 
 The intrinsic metric induced by a unitarily invariant norm evaluates, on the
 group, to the gauge of the eigenphase vector of u*v (principal branch).  On a
-quotient only an upper bound is certified in general; closed forms are used
-where available (Grassmann, trivial subgroup, the determinant circle of
-U(n)/SU(n)).
+quotient the distance is exact, in every such norm, where a closed form
+exists (trivial subgroup, Grassmann, the determinant circle of U(n)/SU(n));
+elsewhere only an upper bound is certified, by local search over the fibre.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .matcore import (
     InvalidArgumentError,
     NormSpec,
     expm_skew,
+    logm_unitary,
     principal_angles,
     schatten_norm,
     _unitary_phases,
@@ -29,7 +30,6 @@ from .matcore import (
 from .groups import (
     GroupElement,
     HomSpace,
-    SkewElement,
     _mat,
     component_basis,
     _project_H_mat,
@@ -112,7 +112,11 @@ def geodesic_point(u, x, t: float):
 
 def grassmann_dist(e, f, norm: NormSpec = OPERATOR) -> float:
     """Distance between subspaces: the gauge applied to the principal-angle
-    vector (operator norm: the largest principal angle)."""
+    vector (operator norm: the largest principal angle).
+
+    This equals the quotient metric of the Grassmannian only in the
+    operator norm; in other norms the quotient metric takes each of the
+    largest angles twice (see quotient_dist_upper)."""
     angles = principal_angles(e, f)
     return norm.of_singular_values(angles)
 
@@ -124,34 +128,45 @@ class CosetPoint:
     representative: GroupElement
     space: HomSpace
 
-    def frame(self) -> np.ndarray:
-        """Orthonormal frame of the subspace the coset encodes (Grassmann
-        block structure only)."""
-        sub = self.space.subgroup
-        if sub.kind not in ("grassmann", "block_diagonal"):
-            raise InvalidArgumentError("no frame form for this subgroup")
-        k = sub.blocks(self.space.n)[0]
-        return _mat(self.representative)[:, :k]
-
     def same_coset(self, other: "CosetPoint", tol: float = 1e-6) -> bool:
         return quotient_dist_upper(self, other) <= tol
 
 
-def _closed_form_quotient_dist(p: CosetPoint, q: CosetPoint) -> Optional[float]:
-    space = p.space
+def _closed_form_dists(
+    space: HomSpace, a: np.ndarray, stack: np.ndarray
+) -> Optional[np.ndarray]:
+    """Exact quotient distances, in the norm of the space, from the
+    representative a to each representative in stack (shape (m, n, n));
+    None when the subgroup has no closed form (tensor factors, three or
+    more blocks).
+
+    Each value is the gauge of the singular values of the shortest
+    logarithm that joins the two cosets:
+    - trivial: the eigenphases of a* b;
+    - grassmann(k): the min(k, n - k) largest principal angles between the
+      k-frames, each taken twice (the complement element rotating one
+      subspace onto the other has these singular values);
+    - special: (phi / n)(1, ..., 1), phi the principal phase of det(a* b),
+      spread evenly by a scalar.
+    """
     sub = space.subgroup
     norm = space.norm
+    n = space.n
     if sub.kind == "trivial":
-        return intrinsic_dist(p.representative, q.representative, norm)
-    if sub.kind in ("grassmann", "block_diagonal") and len(sub.blocks(space.n)) == 2:
-        return grassmann_dist(p.frame(), q.frame(), norm)
+        w = np.einsum("ji,kjl->kil", a.conj(), stack)
+        return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
+    if sub.kind == "grassmann":
+        k = sub.k
+        gram = np.einsum("ji,kjl->kil", a[:, :k].conj(), stack[:, :, :k])
+        s = np.linalg.svd(gram, compute_uv=False)
+        # s descends, so the largest angles come from its tail; past
+        # k = n / 2 the first 2k - n cosines are one
+        angles = np.arccos(np.clip(s[:, max(0, 2 * k - n):], 0.0, 1.0))
+        return norm.of_singular_values(np.repeat(angles, 2, axis=1))
     if sub.kind == "special":
-        # determinant circle of radius 1/n
-        n = space.n
-        dphi = np.angle(
-            np.linalg.det(_mat(p.representative).conj().T @ _mat(q.representative))
-        )
-        return abs(dphi) / n
+        w = np.einsum("ji,kjl->kil", a.conj(), stack)
+        phi = np.angle(np.linalg.det(w))
+        return np.abs(phi) / n * norm.of_singular_values(np.ones(n))
     return None
 
 
@@ -164,22 +179,19 @@ def quotient_dist_upper(
 ) -> float:
     """Certified upper bound on the quotient distance between two cosets.
 
-    Multi-start local minimization of h -> intrinsic_dist(u, v exp(h)) over
-    the subalgebra; returns the exact closed form where one is known.  The
-    reported value never drops below a known closed-form lower bound.
+    Exact in every unitarily invariant norm where the space has a closed
+    form (trivial, Grassmann and determinant-one subgroups).  Otherwise the
+    best value of a multi-start local minimization of
+    h -> intrinsic_dist(u, v exp(h)) over the subalgebra.
     """
     if p.space != q.space:
         raise InvalidArgumentError("cosets live in different spaces")
-    space = p.space
-    closed = _closed_form_quotient_dist(p, q)
-    if closed is not None and space.subgroup.kind == "trivial":
-        return closed
-    best = _optimize_coset_dist(p, q, restarts, max_iter, rng)
-    if closed is not None:
-        # the closed form is the exact distance; the local search can only
-        # stay at or above it, so take whichever certificate is tighter
-        return min(best, closed)
-    return best
+    u = _mat(p.representative)
+    v = _mat(q.representative)
+    exact = _closed_form_dists(p.space, u, v[np.newaxis])
+    if exact is not None:
+        return float(exact[0])
+    return _optimize_coset_dist(p, q, restarts, max_iter, rng)
 
 
 def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
@@ -189,8 +201,6 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
     v = _mat(q.representative)
     basis = component_basis(space, "H")
     dim = len(basis)
-    if dim == 0:
-        return intrinsic_dist(u, v, norm)
     stack = np.stack(basis)
     rng = np.random.default_rng(rng)
 
@@ -218,14 +228,18 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
     def coords(h):
         return np.array([np.real(np.vdot(b, h)) for b in basis])
 
+    w0 = uh @ v
     starts = [np.zeros(dim)]
-    starts.extend(coords(h) for h in _structural_warm_starts(space, u, v))
+    try:
+        # undo the subalgebra part of log(u* v): the linearized alignment
+        starts.append(coords(-_project_H_mat(space, logm_unitary(w0))))
+    except BranchAmbiguityError:
+        pass  # an eigenvalue at -1: no principal logarithm to start from
     while len(starts) < max(2, restarts):
         starts.append(rng.normal(scale=1.0, size=dim))
 
     ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
     best = np.inf
-    w0 = u.conj().T @ v
     if _branch_safe(w0, norm):
         best = intrinsic_dist(u, v, norm)
     surrogate = f_smooth if norm.is_operator else f
@@ -250,105 +264,6 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
         if best <= 1e-9:
             break
     return best
-
-
-def _structural_warm_starts(space, u, v) -> list:
-    """Subalgebra elements likely to sit near the optimal coset alignment:
-    the linearization of log(u*v), determinant branch shifts for the
-    determinant-one subgroup, and the direct-rotation alignment for
-    two-block (Grassmann) quotients."""
-    from .matcore import logm_unitary
-
-    warm = []
-    w0 = u.conj().T @ v
-    h0 = None
-    try:
-        x0 = logm_unitary(w0)
-        h0 = -_project_H_mat(space, x0)
-        warm.append(h0)
-    except Exception:
-        pass
-    sub = space.subgroup
-    n = space.n
-    if sub.kind == "special":
-        # balance the phases in the eigenbasis of u*v: the remaining group
-        # element is the scalar with the principal branch of the total phase
-        from scipy.linalg import schur
-
-        t, qb = schur(w0.astype(complex), output="complex")
-        phi = np.angle(np.diag(t))
-        psi = np.angle(np.exp(1j * np.sum(phi))) / n
-        k = int(round((np.sum(phi) - n * psi) / (2 * np.pi)))
-        m = np.full(n, k // n)
-        m[: k % n] += 1
-        eta = -phi + psi + 2 * np.pi * m
-        warm.append((qb * (1j * eta)) @ qb.conj().T)
-    if sub.kind in ("grassmann", "block_diagonal") and len(sub.blocks(n)) == 2:
-        h = _direct_rotation_warm(space, u, v)
-        if h is not None:
-            warm.append(h)
-    return warm
-
-
-def _direct_rotation_warm(space, u, v):
-    """Subalgebra element h such that v exp(h) is the endpoint of the direct
-    rotation carrying the subspace of u onto the subspace of v."""
-    from .matcore import logm_unitary
-
-    k = space.subgroup.blocks(space.n)[0]
-    e = u[:, :k]
-    f = v[:, :k]
-    a, s, bh = np.linalg.svd(e.conj().T @ f)
-    theta = np.arccos(np.clip(s, 0.0, 1.0))
-    p = e @ a
-    fb = f @ bh.conj().T
-    resid = fb - p * np.cos(theta)
-    qcols = np.zeros_like(p)
-    sin = np.sin(theta)
-    for i in range(k):
-        if sin[i] > 1e-9:
-            qcols[:, i] = resid[:, i] / sin[i]
-    rot = (qcols * theta) @ p.conj().T - (p * theta) @ qcols.conj().T
-    r = expm_skew(0.5 * (rot - rot.conj().T))
-    wh = v.conj().T @ (r @ u)
-    wh = _project_unitary_blockdiag(space, wh)
-    h = _blockwise_log(space, wh)
-    return _project_H_mat(space, h)
-
-
-def _blockwise_log(space, wh):
-    """Skew logarithm of a block-diagonal unitary, taken block by block with
-    an arbitrary (but fixed) branch at eigenvalue -1; only used to seed the
-    local search, so branch choice does not affect correctness."""
-    from scipy.linalg import schur
-
-    sizes = space.subgroup.blocks(space.n)
-    out = np.zeros(wh.shape, dtype=complex)
-    off = 0
-    for b in sizes:
-        blk = wh[off : off + b, off : off + b]
-        t, qb = schur(blk.astype(complex), output="complex")
-        phases = np.angle(np.diag(t))
-        x = (qb * (1j * phases)) @ qb.conj().T
-        out[off : off + b, off : off + b] = 0.5 * (x - x.conj().T)
-        off += b
-    if not space.group.is_complex:
-        return out.real if np.max(np.abs(out.imag)) < 1e-9 else out
-    return out
-
-
-def _project_unitary_blockdiag(space, w):
-    """Snap a near-block-diagonal unitary onto the subgroup blocks (polar
-    projection per block)."""
-    sizes = space.subgroup.blocks(space.n)
-    out = np.zeros_like(w)
-    off = 0
-    for b in sizes:
-        blk = w[off : off + b, off : off + b]
-        uu, _, vvh = np.linalg.svd(blk)
-        out[off : off + b, off : off + b] = uu @ vvh
-        off += b
-    return out
 
 
 def _branch_safe(w, norm) -> bool:

@@ -1,8 +1,7 @@
 """Numerical property suites for the quantitative inequalities the library
 is built around: the phase identity between norm and geodesic distance, the
 exponential-map contraction constants, the commutator defect bound, the
-quotient lower-Lipschitz constants, geodesic minimality, and the determinant
-circle model.
+quotient lower-Lipschitz constants and geodesic minimality.
 
 Each check returns a CheckReport that serializes to JSON; the worst witness
 round-trips through base64 so failures can be replayed.
@@ -40,8 +39,8 @@ from .metrics import (
     curve_length,
     extrinsic_dist,
     intrinsic_dist,
+    quotient_dist_upper,
 )
-from .entropy import point_dist
 from .invariants import kappa_known
 
 
@@ -229,9 +228,9 @@ def check_lemma10(
     between q(e^x) and q(e^x') dominates lam ||x - x'|| on the r-ball of
     the complement.
 
-    The distance used is an upper bound on the quotient distance (exact for
-    the Grassmann closed form), so a recorded violation is always a true
-    violation; optimization slack can only mask one.
+    The distance used is an upper bound on the quotient distance (exact
+    where the space has a closed form), so a recorded violation is always a
+    true violation; optimization slack can only mask one.
     """
     if kappa_known(space) != 1.0 and not override_kappa_gate:
         raise InvalidArgumentError(
@@ -251,7 +250,8 @@ def check_lemma10(
         sep = opnorm(x - xp)
         if sep < 1e-12:
             continue
-        d = point_dist(space, expm_skew(x), expm_skew(xp))
+        d = quotient_dist_upper(CosetPoint(GroupElement(expm_skew(x), g), space),
+                                CosetPoint(GroupElement(expm_skew(xp), g), space))
         dev = lam * sep - d - 1e-6  # positive only on a sound violation
         if dev > worst:
             worst, witness = dev, {"x": x, "x_prime": xp}
@@ -305,30 +305,3 @@ def check_geodesic_minimality(
         0.0,
         witness,
     )
-
-
-def check_circle_quotient(
-    n: int, samples: int = 500, rng=0, restarts: int = 4
-) -> CheckReport:
-    """Quotient distances modulo the determinant-one subgroup match the
-    arc metric of a circle of radius 1/n through the determinant map."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
-    from .groups import SubgroupSpec
-    from .metrics import quotient_dist_upper
-
-    rng = np.random.default_rng(rng)
-    g = GroupSpec("U", n)
-    space = HomSpace(g, SubgroupSpec.special())
-    worst, witness = 0.0, None
-    for _ in range(samples):
-        u = haar_sample(g, rng)
-        v = haar_sample(g, rng)
-        model = abs(np.angle(np.linalg.det(u.matrix.conj().T @ v.matrix))) / n
-        actual = quotient_dist_upper(
-            CosetPoint(u, space), CosetPoint(v, space), restarts=restarts, rng=rng
-        )
-        dev = abs(actual - model)
-        if dev > worst:
-            worst, witness = dev, {"u": u.matrix, "v": v.matrix}
-    return CheckReport("circle_quotient", {"n": n}, samples, worst, 1e-3, witness)

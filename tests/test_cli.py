@@ -114,6 +114,28 @@ seed = 0
         assert "PASS eq6" in printed
         assert os.path.exists(out / "check_eq6.json")
 
+    def test_bounds_missing_bound_is_empty_field(self, tmp_path):
+        # U(3)/SU(3) has no tabulated theta, so no lower bound
+        cfg = _write(tmp_path, """
+[space]
+group = U
+n = 3
+subgroup = special
+
+[task]
+kind = bounds
+epsilon_grid = 0.5 0.25
+""")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        text = (out / "bounds.csv").read_text()
+        assert "None" not in text
+        rows = [ln.split(",") for ln in text.splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["U3/special", "0.5"], ["U3/special", "0.25"]]
+        for r in rows:
+            assert r[2] == ""
+            assert float(r[3]) > 0
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

@@ -14,8 +14,8 @@ from unicover.entropy import (
     certify_cover,
     greedy_net,
     greedy_packing,
+    dists_to_centers,
     linearized_cover,
-    point_dist,
     theorem8_bounds,
     theorem11_gate,
     verify_separated,
@@ -247,7 +247,7 @@ class TestPointDist:
         g = GroupSpec("U", 3)
         a = haar_sample(g, rng).matrix
         b = haar_sample(g, rng).matrix
-        assert point_dist(g, a, b) == pytest.approx(intrinsic_dist(a, b))
+        assert dists_to_centers(g, a, [b])[0] == pytest.approx(intrinsic_dist(a, b))
 
     def test_grassmann_path_is_principal_angle(self, rng):
         from unicover.groups import haar_sample
@@ -255,6 +255,6 @@ class TestPointDist:
 
         a = haar_sample(G31_REAL.group, rng).matrix
         b = haar_sample(G31_REAL.group, rng).matrix
-        assert point_dist(G31_REAL, a, b) == pytest.approx(
+        assert dists_to_centers(G31_REAL, a, [b])[0] == pytest.approx(
             grassmann_dist(a[:, :1], b[:, :1])
         )

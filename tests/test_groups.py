@@ -45,6 +45,13 @@ class TestSpecs:
         with pytest.raises(InvalidArgumentError):
             HomSpace(GroupSpec("SO", 3), SubgroupSpec.special())
 
+    def test_two_blocks_are_grassmann(self):
+        for kind in ("U", "SO"):
+            space = HomSpace(GroupSpec(kind, 5), SubgroupSpec.block_diagonal([2, 3]))
+            assert space == HomSpace(GroupSpec(kind, 5), SubgroupSpec.grassmann(2))
+        three = SubgroupSpec.block_diagonal([2, 2, 1])
+        assert HomSpace(GroupSpec("U", 5), three).subgroup == three
+
     def test_quotient_dims(self):
         # grassmann G_{n,k}: complex dim 2k(n-k), real dim k(n-k)
         assert HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2)).dim == 8

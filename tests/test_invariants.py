@@ -98,6 +98,37 @@ class TestTheta:
         # known extrinsic value 2 corresponds to intrinsic pi
         assert tw >= np.pi - 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_branch_rule_matches_enumeration(self, n):
+        """The O(n log n) branch rule of _min_log_norm_diag against a brute
+        enumeration of every branch shift in {-2, ..., 2}^n with trace zero."""
+        from itertools import product
+
+        from unicover.invariants import _min_log_norm_diag
+
+        def enumerated(phases):
+            total = np.sum(phases) / (2 * np.pi)
+            best = np.inf
+            for ks in product(range(-2, 3), repeat=n):
+                if abs(total + sum(ks)) <= 1e-9:
+                    best = min(best, np.max(np.abs(phases + 2 * np.pi * np.array(ks))))
+            return best
+
+        rng = np.random.default_rng(n)
+        cases = []
+        for _ in range(40):
+            # principal phases of a determinant-one diagonal
+            phases = rng.uniform(-np.pi, np.pi, size=n)
+            phases[-1] = np.angle(np.exp(-1j * np.sum(phases[:-1])))
+            cases.append(phases)
+            # lattice patterns as the witness search makes them, with ties
+            v = rng.integers(-2, 3, size=n)
+            lattice = np.mod(2 * np.pi * (v - np.mean(v)) + np.pi, 2 * np.pi) - np.pi
+            cases.append(np.where(lattice <= -np.pi + 1e-12, np.pi, lattice))
+        for phases in cases:
+            assert _min_log_norm_diag(phases, traceless=True) == pytest.approx(
+                enumerated(phases), abs=1e-12)
+
     def test_trivial_no_witness(self):
         space = HomSpace(GroupSpec("U", 2), SubgroupSpec.trivial())
         assert theta_witness_upper(space) is None

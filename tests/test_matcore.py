@@ -49,6 +49,15 @@ class TestNormSpec:
         spec = NormSpec.gauge(lambda s: float(np.sum(s)))
         assert spec.of_singular_values([1.0, 2.0]) == 3.0
 
+    def test_stack_reduces_each_row(self, rng):
+        rows = rng.uniform(0, 3, size=(2, 5, 4))
+        for spec in (OPERATOR, FROBENIUS, NormSpec.schatten(1),
+                     NormSpec.gauge(lambda s: float(np.max(s) + np.sum(s)))):
+            got = spec.of_singular_values(rows)
+            assert got.shape == (2, 5)
+            want = [[spec.of_singular_values(r) for r in block] for block in rows]
+            assert np.array_equal(got, want)
+
     def test_invalid_specs_raise(self):
         with pytest.raises(InvalidArgumentError):
             NormSpec("nonsense")

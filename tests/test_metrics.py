@@ -31,6 +31,8 @@ from unicover.metrics import (
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
+    _closed_form_dists,
+    _optimize_coset_dist,
 )
 
 from conftest import random_skew
@@ -206,26 +208,16 @@ class TestQuotientDist:
         with pytest.raises(InvalidArgumentError):
             quotient_dist_upper(_coset(GRASS, u), _coset(other, u))
 
-    def test_frame_requires_block_structure(self, rng):
-        u = haar_sample(CIRCLE.group, rng)
-        with pytest.raises(InvalidArgumentError):
-            CosetPoint(u, CIRCLE).frame()
-
     def test_raw_optimizer_matches_closed_form_past_fold(self, rng):
         """The local search itself (no closed-form assist) must recover the
         exact distance even where the quotient geodesic folds back."""
-        from unicover.metrics import (
-            _closed_form_quotient_dist,
-            _optimize_coset_dist,
-        )
-
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.grassmann(1))
         base = _coset(space, np.eye(3, dtype=complex))
         x = tangent_sample(space, "X", np.pi, np.random.default_rng(1)).matrix
         for t in (0.3, 0.6, 0.75, 0.95):
-            p = _coset(space, expm_skew(t * x))
-            closed = _closed_form_quotient_dist(base, p)
-            opt = _optimize_coset_dist(base, p, 8, 200, 0)
+            v = expm_skew(t * x)
+            closed = _closed_form_dists(space, np.eye(3, dtype=complex), v[None])[0]
+            opt = _optimize_coset_dist(base, _coset(space, v), 8, 200, 0)
             assert opt == pytest.approx(closed, abs=1e-6)
 
     def test_multiblock_optimization_bounded_by_grassmann_pair(self, rng):
@@ -238,3 +230,52 @@ class TestQuotientDist:
         v = u @ expm_skew(h)
         d = quotient_dist_upper(_coset(space, u), _coset(space, v), rng=rng)
         assert d <= 1e-5
+
+
+CLOSED_FORM_SPACES = [
+    HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1)),
+    HomSpace(GroupSpec("SO", 4), SubgroupSpec.grassmann(2)),
+    HomSpace(GroupSpec("U", 3), SubgroupSpec.grassmann(2)),
+    HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2)),
+    HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+    HomSpace(GroupSpec("U", 4), SubgroupSpec.special()),
+]
+NORMS = {
+    "schatten_inf": NormSpec.schatten(np.inf),
+    "schatten_2": FROBENIUS,
+    "schatten_1": NormSpec.schatten(1),
+    "max_plus_half_sum": NormSpec.gauge(lambda s: np.max(s) + 0.5 * np.sum(s)),
+}
+
+
+class TestClosedFormsMatchOptimizer:
+    """The batched closed forms are the exact quotient distance in every
+    unitarily invariant norm: the multi-start optimizer over the fibre
+    lands on the same value.  Pairs are v = u exp(x) with x in the
+    complement and ||x|| <= pi / 4; on SO the subgroup is the identity
+    component, so the optimizer measures the oriented Grassmannian, which
+    agrees with the closed form only on near pairs."""
+
+    @pytest.mark.parametrize("norm_id", list(NORMS))
+    @pytest.mark.parametrize(
+        "space", CLOSED_FORM_SPACES,
+        ids=lambda s: f"{s.group.kind}{s.n}-{s.subgroup.kind}{s.subgroup.k or ''}")
+    def test_agreement(self, space, norm_id):
+        space = HomSpace(space.group, space.subgroup, NORMS[norm_id])
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            u = haar_sample(space.group, rng).matrix
+            x = tangent_sample(space, "X", np.pi / 4, rng).matrix
+            v = u @ expm_skew(x)
+            closed = _closed_form_dists(space, u, np.stack([v, u]))
+            opt = _optimize_coset_dist(_coset(space, u), _coset(space, v), 8, 200, 0)
+            assert closed[0] == pytest.approx(opt, abs=1e-8)
+            assert closed[1] == pytest.approx(0.0, abs=1e-6)
+            assert quotient_dist_upper(_coset(space, u), _coset(space, v)) == closed[0]
+
+    def test_no_closed_form_for_tensor_and_multiblock(self):
+        u = np.eye(4, dtype=complex)
+        for sub in (SubgroupSpec.tensor_factor(2, 2),
+                    SubgroupSpec.block_diagonal([2, 1, 1])):
+            space = HomSpace(GroupSpec("U", 4), sub)
+            assert _closed_form_dists(space, u, u[None]) is None

@@ -10,7 +10,6 @@ import pytest
 from unicover.matcore import InvalidArgumentError, opnorm
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, _skew_gaussian
 from unicover.verify import (
-    check_circle_quotient,
     check_eq6,
     check_geodesic_minimality,
     check_lemma4,
@@ -123,14 +122,3 @@ class TestGeodesicMinimality:
     def test_no_shorter_competitor(self):
         rep = check_geodesic_minimality(2, samples=20, competitors=10, rng=0)
         assert rep.passed
-
-
-class TestCircleQuotient:
-    def test_model_agreement(self):
-        rep = check_circle_quotient(2, samples=20, rng=0)
-        assert rep.passed
-        assert rep.worst_violation <= 1e-3
-
-    def test_n_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            check_circle_quotient(1)

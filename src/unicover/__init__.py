@@ -21,6 +21,7 @@ from .groups import (
     SkewElement,
     SubgroupSpec,
     haar_sample,
+    haar_samples,
     project_H,
     project_X,
     tangent_sample,

@@ -228,9 +228,7 @@ def run_task(space_or_group, space: HomSpace, task: dict, out_dir: str) -> int:
         # seed the packing with the matched net's centers and the packing at
         # the previous (larger) epsilon: both are epsilon-separated, so the
         # chain count comparisons hold by construction
-        initial = list(net.points) if net is not None else []
-        if prev_pack is not None:
-            initial.extend(prev_pack.points)
+        initial = [p for r in (net, prev_pack) if r is not None for p in r.points]
         pack = greedy_packing(space_or_group, eps, task["budget"], rng=seed,
                               initial=initial or None)
         prev_pack = pack

@@ -10,8 +10,8 @@ bracketed between the certified net and the packing count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
-from typing import List, Optional, Tuple, Union
+from itertools import chain, product as iter_product
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -21,9 +21,8 @@ from .groups import (
     GroupSpec,
     HomSpace,
     SubgroupSpec,
-    _mat,
     component_basis,
-    haar_sample,
+    haar_samples,
 )
 from .metrics import CosetPoint, _closed_form_dists, quotient_dist_upper
 from .invariants import (
@@ -35,6 +34,11 @@ from .invariants import (
 
 SpaceLike = Union[GroupSpec, HomSpace]
 
+# Candidates and probes are drawn, and their distances batched, this many at
+# a time: enough to amortize the per-call overhead, few enough that a
+# block's temporaries stay small beside the arrays of centers and probes.
+BLOCK = 16
+
 
 @dataclass
 class NetResult:
@@ -42,7 +46,7 @@ class NetResult:
 
     kind: str  # "packing_tilde" or "net_Npp"
     epsilon: float
-    points: List[np.ndarray]
+    points: np.ndarray  # (count, n, n) group representatives
     count: int
     budget_exhausted: bool
     probe_count: int = 0
@@ -72,9 +76,27 @@ def _as_space(space: SpaceLike) -> HomSpace:
     return space
 
 
-def sample_point(space: SpaceLike, rng) -> np.ndarray:
-    """Haar sample, stored as a group representative matrix."""
-    return _mat(haar_sample(_as_space(space).group, rng))
+def _dists(space: HomSpace, a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(len(a), len(stack)) array of distances from each point of a to each
+    point of stack: batched where the space has a closed form, otherwise an
+    optimizer upper bound per pair."""
+    if len(a) == 0 or len(stack) == 0:
+        return np.zeros((len(a), len(stack)))
+    d = _closed_form_dists(space, a, stack)
+    if d is not None:
+        return d
+    g = space.group
+    qs = [CosetPoint(GroupElement(c, g), space) for c in stack]
+    return np.array([
+        [quotient_dist_upper(CosetPoint(GroupElement(x, g), space), q) for q in qs]
+        for x in a
+    ])
+
+
+def _haar_blocks(group: GroupSpec, rng, m: int):
+    """m Haar samples in blocks of at most BLOCK, in stream order."""
+    for start in range(0, m, BLOCK):
+        yield haar_samples(group, rng, min(BLOCK, m - start))
 
 
 def dists_to_centers(space: SpaceLike, a: np.ndarray, centers) -> np.ndarray:
@@ -82,17 +104,7 @@ def dists_to_centers(space: SpaceLike, a: np.ndarray, centers) -> np.ndarray:
     metric on a group, the quotient metric on a homogeneous space.  Batched
     over the centers where the space has a closed form; otherwise an
     optimizer upper bound per center."""
-    space = _as_space(space)
-    if len(centers) == 0:
-        return np.zeros(0)
-    d = _closed_form_dists(space, a, np.stack(centers))
-    if d is not None:
-        return d
-    p = CosetPoint(GroupElement(a, space.group), space)
-    return np.array([
-        quotient_dist_upper(p, CosetPoint(GroupElement(c, space.group), space))
-        for c in centers
-    ])
+    return _dists(_as_space(space), np.asarray(a)[np.newaxis], np.asarray(centers))[0]
 
 
 def greedy_packing(
@@ -111,24 +123,40 @@ def greedy_packing(
     (e.g. the centers of a matched net, or a packing at a larger epsilon)
     nests the constructions so the count comparisons of the
     covering/packing chain hold by construction.
+
+    Candidates are taken BLOCK at a time: one batched call gives their
+    distances to the centers accepted before the block, and the survivors
+    are then checked in order against the centers the block itself has
+    accepted, so the accepted set is the one-at-a-time loop's.
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
     space = _as_space(space)
+    g = space.group
     rng = np.random.default_rng(rng)
-    centers: List[np.ndarray] = []
-    stream = list(initial) if initial is not None else []
-    for i in range(len(stream) + sampler_budget):
-        p = stream[i] if i < len(stream) else sample_point(space, rng)
-        d = dists_to_centers(space, p, centers)
-        if d.size == 0 or np.min(d) > epsilon:
-            centers.append(p)
+    seeds = np.asarray(initial if initial is not None else np.empty((0, g.n, g.n)))
+    blocks = chain(
+        (seeds[i:i + BLOCK] for i in range(0, len(seeds), BLOCK)),
+        _haar_blocks(g, rng, sampler_budget),
+    )
+    centers = np.empty((BLOCK, g.n, g.n), np.result_type(seeds, g.identity()))
+    count = 0
+    for block in blocks:
+        far = np.all(_dists(space, block, centers[:count]) > epsilon, axis=1)
+        first = count
+        for j in np.flatnonzero(far):
+            if np.all(_dists(space, block[j:j + 1], centers[first:count]) > epsilon):
+                if count == len(centers):
+                    centers = np.concatenate([centers, np.empty_like(centers)])
+                centers[count] = block[j]
+                count += 1
+    centers = centers[:count].copy()
     verify_separated(space, centers, epsilon)
     return NetResult(
         kind="packing_tilde",
         epsilon=epsilon,
         points=centers,
-        count=len(centers),
+        count=count,
         budget_exhausted=True,
     )
 
@@ -137,14 +165,16 @@ def verify_separated(space: SpaceLike, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
     epsilon; raises on any violation."""
     space = _as_space(space)
-    for i, c in enumerate(centers):
-        if i == 0:
-            continue
-        d = dists_to_centers(space, c, centers[:i])
-        if np.min(d) <= epsilon:
-            raise AssertionError(
-                f"packing violation: pair at distance {np.min(d)} <= {epsilon}"
-            )
+    pts = np.asarray(centers)
+    for start in range(0, len(pts), BLOCK):
+        block = pts[start:start + BLOCK]
+        before = _dists(space, block, pts[:start])
+        for j in range(len(block)):
+            d = np.concatenate([before[j], _dists(space, block[j:j + 1], block[:j])[0]])
+            if d.size and np.min(d) <= epsilon:
+                raise AssertionError(
+                    f"packing violation: pair at distance {np.min(d)} <= {epsilon}"
+                )
 
 
 def greedy_net(
@@ -162,24 +192,24 @@ def greedy_net(
         raise InvalidArgumentError("epsilon must be positive")
     space = _as_space(space)
     rng = np.random.default_rng(rng)
-    probes = [sample_point(space, rng) for _ in range(probe_budget)]
-    centers: List[np.ndarray] = [probes[0]]
-    nearest = np.full(len(probes), np.inf)
+    probes = np.concatenate(list(_haar_blocks(space.group, rng, probe_budget)))
+    chosen = [0]
+    nearest = np.full(probe_budget, np.inf)
     exhausted = False
     while True:
-        nearest = np.minimum(nearest, dists_to_centers(space, centers[-1], probes))
+        nearest = np.minimum(nearest, _dists(space, probes[chosen[-1:]], probes)[0])
         worst = int(np.argmax(nearest))
         if nearest[worst] <= epsilon * (1.0 + slack):
             break
-        if len(centers) >= sampler_budget:
+        if len(chosen) >= sampler_budget:
             exhausted = True
             break
-        centers.append(probes[worst])
+        chosen.append(worst)
     return NetResult(
         kind="net_Npp",
         epsilon=epsilon,
-        points=centers,
-        count=len(centers),
+        points=probes[chosen],
+        count=len(chosen),
         budget_exhausted=exhausted,
         probe_count=probe_budget,
         probe_max_dist=float(np.max(nearest)),
@@ -218,8 +248,7 @@ def linearized_cover(
 
         R = diameter_estimate(space)
     if epsilon >= R:
-        g = space.group
-        return NetResult("net_Npp", epsilon, [g.identity()], 1, False)
+        return NetResult("net_Npp", epsilon, space.group.identity()[np.newaxis], 1, False)
     basis = component_basis(space, "X")
     dim = len(basis)
     mesh = grid_resolution if grid_resolution is not None else epsilon / np.sqrt(dim)
@@ -242,7 +271,7 @@ def linearized_cover(
     return NetResult(
         kind="net_Npp",
         epsilon=epsilon,
-        points=centers,
+        points=np.array(centers),
         count=len(centers),
         budget_exhausted=False,
     )
@@ -255,10 +284,10 @@ def certify_cover(
     the result and returns it."""
     space = _as_space(space)
     rng = np.random.default_rng(rng)
+    centers = np.asarray(net.points)
     worst = 0.0
-    for _ in range(probe_budget):
-        p = sample_point(space, rng)
-        worst = max(worst, float(np.min(dists_to_centers(space, p, net.points))))
+    for block in _haar_blocks(space.group, rng, probe_budget):
+        worst = max(worst, float(np.max(np.min(_dists(space, block, centers), axis=1))))
     net.probe_count = probe_budget
     net.probe_max_dist = worst
     return worst

@@ -212,26 +212,37 @@ def _mat(x) -> np.ndarray:
     return x.matrix if hasattr(x, "matrix") else np.asarray(x)
 
 
-def haar_sample(group: GroupSpec, rng) -> GroupElement:
-    """One Haar-distributed sample of U(n) or SO(n).
+def haar_samples(group: GroupSpec, rng, m: int) -> np.ndarray:
+    """m Haar-distributed samples of U(n) or SO(n), shape (m, n, n).
 
     Gaussian QR with the R-diagonal phase (resp. sign) correction; for SO(n)
-    a determinant of -1 is fixed by negating one column.
+    a determinant of -1 is fixed by negating one column.  The normal
+    variates are drawn in the order of m single draws (for U(n): the real
+    then the imaginary part of each sample), so the samples and the
+    generator's next state equal those of m calls of haar_sample.
     """
     rng = np.random.default_rng(rng)
     n = group.n
     if group.is_complex:
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        g = rng.standard_normal((m, 2, n, n))
+        z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
         q, r = np.linalg.qr(z)
-        d = np.diag(r)
-        q = q * (d / np.abs(d))
+        d = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (d / np.abs(d))[:, np.newaxis, :]
     else:
-        z = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(z)
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-    return GroupElement(q, group)
+        q, r = np.linalg.qr(rng.standard_normal((m, n, n)))
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, np.newaxis, :]
+        q[np.linalg.det(q) < 0, :, 0] *= -1
+    # the Frobenius norm bounds the operator norm GroupElement checks
+    defect = np.linalg.norm(np.swapaxes(q.conj(), 1, 2) @ q - np.eye(n), axis=(1, 2))
+    if np.any(defect > 1e-10):
+        raise InvalidArgumentError("matrix is not unitary within tolerance")
+    return q
+
+
+def haar_sample(group: GroupSpec, rng) -> GroupElement:
+    """One Haar-distributed sample of U(n) or SO(n) (see haar_samples)."""
+    return GroupElement(haar_samples(group, rng, 1)[0], group)
 
 
 def _skew_gaussian(group: GroupSpec, rng) -> np.ndarray:

@@ -44,25 +44,16 @@ def extrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
     return schatten_norm(a - b, norm)
 
 
-def intrinsic_dist(
-    u, v, norm: NormSpec = OPERATOR, branch_tol: float = 1e-9
-) -> float:
+def intrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
     """Geodesic distance: the gauge of the principal-log eigenphases of u*v.
 
-    For the operator norm the value at the branch boundary (eigenvalue -1)
-    is still well-defined by continuity; for any other norm an eigenvalue
-    at -1 raises, since the minimizing log branch is then norm-dependent.
+    At an eigenvalue -1 the two log branches give the phases +pi and -pi,
+    whose absolute values agree, so the value is the same in every norm.
     """
     a, b = _mat(u), _mat(v)
     if a.shape != b.shape:
         raise InvalidArgumentError("size mismatch")
-    w = a.conj().T @ b
-    phases = _unitary_phases(w)
-    if not norm.is_operator and np.any(np.pi - np.abs(phases) < branch_tol):
-        raise BranchAmbiguityError(
-            "eigenvalue at -1: intrinsic distance branch is norm-dependent"
-        )
-    return norm.of_singular_values(np.abs(phases))
+    return norm.of_singular_values(np.abs(_unitary_phases(a.conj().T @ b)))
 
 
 @dataclass(frozen=True)
@@ -135,10 +126,10 @@ class CosetPoint:
 def _closed_form_dists(
     space: HomSpace, a: np.ndarray, stack: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Exact quotient distances, in the norm of the space, from the
-    representative a to each representative in stack (shape (m, n, n));
-    None when the subgroup has no closed form (tensor factors, three or
-    more blocks).
+    """Exact quotient distances, in the norm of the space, from each
+    representative in a (shape (m, n, n)) to each representative in stack
+    (shape (K, n, n)), as an (m, K) array; None when the subgroup has no
+    closed form (tensor factors, three or more blocks).
 
     Each value is the gauge of the singular values of the shortest
     logarithm that joins the two cosets:
@@ -153,18 +144,18 @@ def _closed_form_dists(
     norm = space.norm
     n = space.n
     if sub.kind == "trivial":
-        w = np.einsum("ji,kjl->kil", a.conj(), stack)
+        w = np.einsum("mji,kjl->mkil", a.conj(), stack)
         return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
     if sub.kind == "grassmann":
         k = sub.k
-        gram = np.einsum("ji,kjl->kil", a[:, :k].conj(), stack[:, :, :k])
+        gram = np.einsum("mji,kjl->mkil", a[:, :, :k].conj(), stack[:, :, :k])
         s = np.linalg.svd(gram, compute_uv=False)
         # s descends, so the largest angles come from its tail; past
         # k = n / 2 the first 2k - n cosines are one
-        angles = np.arccos(np.clip(s[:, max(0, 2 * k - n):], 0.0, 1.0))
-        return norm.of_singular_values(np.repeat(angles, 2, axis=1))
+        angles = np.arccos(np.clip(s[..., max(0, 2 * k - n):], 0.0, 1.0))
+        return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
     if sub.kind == "special":
-        w = np.einsum("ji,kjl->kil", a.conj(), stack)
+        w = np.einsum("mji,kjl->mkil", a.conj(), stack)
         phi = np.angle(np.linalg.det(w))
         return np.abs(phi) / n * norm.of_singular_values(np.ones(n))
     return None
@@ -188,9 +179,9 @@ def quotient_dist_upper(
         raise InvalidArgumentError("cosets live in different spaces")
     u = _mat(p.representative)
     v = _mat(q.representative)
-    exact = _closed_form_dists(p.space, u, v[np.newaxis])
+    exact = _closed_form_dists(p.space, u[np.newaxis], v[np.newaxis])
     if exact is not None:
-        return float(exact[0])
+        return float(exact[0, 0])
     return _optimize_coset_dist(p, q, restarts, max_iter, rng)
 
 
@@ -239,13 +230,11 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
         starts.append(rng.normal(scale=1.0, size=dim))
 
     ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
-    best = np.inf
-    if _branch_safe(w0, norm):
-        best = intrinsic_dist(u, v, norm)
+    best = intrinsic_dist(u, v, norm)
     surrogate = f_smooth if norm.is_operator else f
     for c0 in ranked:
         f0 = float(f(c0))
-        if f0 > best + 0.25 and best < np.inf:
+        if f0 > best + 0.25:
             continue  # cannot plausibly beat the incumbent
         res = minimize(
             surrogate,
@@ -264,9 +253,3 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
         if best <= 1e-9:
             break
     return best
-
-
-def _branch_safe(w, norm) -> bool:
-    if norm.is_operator:
-        return True
-    return bool(np.all(np.pi - np.abs(_unitary_phases(w)) >= 1e-9))

@@ -7,9 +7,11 @@ import itertools
 import numpy as np
 import pytest
 
+from unicover import entropy
 from unicover.matcore import InvalidArgumentError
-from unicover.groups import GroupSpec, HomSpace, SubgroupSpec
+from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_sample, haar_samples
 from unicover.entropy import (
+    BLOCK,
     chain_consistent,
     certify_cover,
     greedy_net,
@@ -119,6 +121,95 @@ class TestGreedyNet:
         res = greedy_net(G31_REAL, 0.05, 3, 500, rng=0)
         assert res.budget_exhausted
         assert res.count == 3
+
+
+
+def sequential_packing(space, epsilon, budget, rng, initial=()):
+    """The one-candidate-at-a-time greedy loop the blocked construction must
+    reproduce: each point of the stream (initial points, then Haar draws)
+    is compared with every center accepted before it."""
+    group = space.group if isinstance(space, HomSpace) else space
+    rng = np.random.default_rng(rng)
+    stream = list(initial) + [haar_sample(group, rng).matrix for _ in range(budget)]
+    centers = []
+    for p in stream:
+        if all(d > epsilon for d in dists_to_centers(space, p, centers)):
+            centers.append(p)
+    return centers
+
+
+class TestBlockedLoops:
+    """The block-wise loops accept, reject and report exactly what the
+    sequential loops do."""
+
+    @pytest.mark.parametrize("space, epsilon, budget", [
+        (G31_REAL, 0.5, 3 * BLOCK + 5),
+        (GroupSpec("U", 2), 1.2, 3 * BLOCK + 5),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), 0.2, 3 * BLOCK + 5),
+    ], ids=["SO3-grassmann1", "U2", "U3-special"])
+    def test_packing_matches_sequential_loop(self, space, epsilon, budget):
+        group = space.group if isinstance(space, HomSpace) else space
+        # more seeds than one block, not separated among themselves
+        seeds = list(haar_samples(group, np.random.default_rng(99), BLOCK + 7))
+        for initial in (None, seeds):
+            want = sequential_packing(space, epsilon, budget, 4, initial or ())
+            got = greedy_packing(space, epsilon, budget, rng=4, initial=initial)
+            assert got.count == len(want) == len(got.points)
+            assert np.array_equal(got.points, np.array(want))
+
+    def test_packing_without_closed_form_adds_no_optimizer_run(self, monkeypatch):
+        space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+        seeds = list(haar_samples(space.group, np.random.default_rng(99), 3))
+        calls = []
+        real = entropy.quotient_dist_upper
+        monkeypatch.setattr(entropy, "quotient_dist_upper",
+                            lambda p, q: calls.append(1) or real(p, q))
+        for initial in (None, seeds):
+            calls.clear()
+            want = sequential_packing(space, 1.1, 6, 2, initial or ())
+            sequential_calls = len(calls)
+            calls.clear()
+            got = greedy_packing(space, 1.1, 6, rng=2, initial=initial)
+            assert np.array_equal(got.points, np.array(want))
+            assert 1 < got.count < 6 + len(initial or ())  # some accepted, some not
+            # beyond the sequential loop's runs, only the final separation check
+            assert len(calls) <= sequential_calls + got.count * (got.count - 1) // 2
+
+    @pytest.mark.parametrize("size", [2 * BLOCK + 1, 2 * BLOCK + 6])
+    def test_verify_separated_finds_a_last_pair_violation(self, size):
+        g = GroupSpec("U", 2)
+        pack = greedy_packing(g, 0.5, 400, rng=0).points[:size - 1]
+        near = pack[-1] @ np.diag(np.exp(1j * np.array([0.01, -0.01])))
+        pts = np.concatenate([pack, near[np.newaxis]])
+        pairs = [(i, j) for j in range(size) for i in range(j)
+                 if dists_to_centers(g, pts[j], pts[i:i + 1])[0] <= 0.5]
+        assert pairs == [(size - 2, size - 1)]
+        verify_separated(g, pack, 0.5)
+        with pytest.raises(AssertionError):
+            verify_separated(g, pts, 0.5)
+
+    def test_net_matches_farthest_point_loop(self):
+        rng = np.random.default_rng(3)
+        probes = [haar_sample(G31_REAL.group, rng).matrix for _ in range(300)]
+        chosen, nearest = [0], np.full(300, np.inf)
+        while True:
+            nearest = np.minimum(nearest, dists_to_centers(G31_REAL, probes[chosen[-1]], probes))
+            worst = int(np.argmax(nearest))
+            if nearest[worst] <= 0.4 * 1.01:
+                break
+            chosen.append(worst)
+        net = greedy_net(G31_REAL, 0.4, 300, 300, rng=3)
+        assert np.array_equal(net.points, np.array(probes)[chosen])
+        assert net.probe_max_dist == np.max(nearest)
+
+    def test_certify_cover_matches_per_probe_loop(self):
+        net = linearized_cover(G31_REAL, 0.8)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(500):
+            p = haar_sample(G31_REAL.group, rng).matrix
+            worst = max(worst, float(np.min(dists_to_centers(G31_REAL, p, net.points))))
+        assert certify_cover(G31_REAL, net, probe_budget=500, rng=0) == worst
 
 
 class TestChain:

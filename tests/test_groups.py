@@ -14,6 +14,7 @@ from unicover.groups import (
     SubgroupSpec,
     component_basis,
     haar_sample,
+    haar_samples,
     project_H,
     project_X,
     skew_basis,
@@ -119,6 +120,39 @@ class TestHaar:
         u1 = haar_sample(g, np.random.default_rng(3)).matrix
         u2 = haar_sample(g, np.random.default_rng(3)).matrix
         assert np.array_equal(u1, u2)
+
+
+
+def _one_haar(group, rng):
+    """Textbook single Haar draw (Mezzadri's Gaussian QR), one matrix at a
+    time: the stream the batched sampler must reproduce."""
+    n = group.n
+    if group.is_complex:
+        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diag(r)
+        return q * (d / np.abs(d))
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("group", [GroupSpec("U", n) for n in (1, 2, 3, 4)]
+                         + [GroupSpec("SO", n) for n in (2, 3, 4, 5)],
+                         ids=lambda g: f"{g.kind}{g.n}")
+def test_haar_samples_match_sequential_stream(group):
+    for seed in range(5):
+        batch_rng, seq_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+        batch = haar_samples(group, batch_rng, 40)
+        seq = np.stack([haar_sample(group, seq_rng).matrix for _ in range(40)])
+        ref = np.stack([_one_haar(group, ref_rng) for _ in range(40)])
+        assert batch.shape == (40, group.n, group.n)
+        assert np.array_equal(batch, seq) and np.array_equal(batch, ref)
+        # the generators stand at the same place in the stream
+        nxt = batch_rng.standard_normal()
+        assert nxt == seq_rng.standard_normal() == ref_rng.standard_normal()
 
 
 class TestProjections:

@@ -8,7 +8,6 @@ import pytest
 from unicover.matcore import (
     FROBENIUS,
     OPERATOR,
-    BranchAmbiguityError,
     InvalidArgumentError,
     NormSpec,
     expm_skew,
@@ -34,6 +33,7 @@ from unicover.metrics import (
     _closed_form_dists,
     _optimize_coset_dist,
 )
+from unicover.entropy import dists_to_centers
 
 from conftest import random_skew
 
@@ -78,11 +78,16 @@ class TestIntrinsicDist:
         v = np.diag([-1.0 + 0j, 1.0])
         assert intrinsic_dist(u, v) == pytest.approx(np.pi)
 
-    def test_other_norms_raise_at_branch_cut(self):
+    def test_other_norms_take_gauge_value_at_branch_cut(self):
+        # the phase of -1 is pi on either log branch, so every norm has a
+        # value there, and it is the one the batched group path gives
         u = np.eye(2, dtype=complex)
         v = np.diag([-1.0 + 0j, 1.0])
-        with pytest.raises(BranchAmbiguityError):
-            intrinsic_dist(u, v, FROBENIUS)
+        for norm in (FROBENIUS, NormSpec.schatten(1)):
+            d = intrinsic_dist(u, v, norm)
+            assert d == pytest.approx(np.pi)
+            bare = HomSpace(GroupSpec("U", 2), SubgroupSpec.trivial(), norm)
+            assert dists_to_centers(bare, u, [v])[0] == d
 
     def test_size_mismatch(self):
         with pytest.raises(InvalidArgumentError):
@@ -216,7 +221,7 @@ class TestQuotientDist:
         x = tangent_sample(space, "X", np.pi, np.random.default_rng(1)).matrix
         for t in (0.3, 0.6, 0.75, 0.95):
             v = expm_skew(t * x)
-            closed = _closed_form_dists(space, np.eye(3, dtype=complex), v[None])[0]
+            closed = _closed_form_dists(space, np.eye(3, dtype=complex)[None], v[None])[0, 0]
             opt = _optimize_coset_dist(base, _coset(space, v), 8, 200, 0)
             assert opt == pytest.approx(closed, abs=1e-6)
 
@@ -267,7 +272,7 @@ class TestClosedFormsMatchOptimizer:
             u = haar_sample(space.group, rng).matrix
             x = tangent_sample(space, "X", np.pi / 4, rng).matrix
             v = u @ expm_skew(x)
-            closed = _closed_form_dists(space, u, np.stack([v, u]))
+            closed = _closed_form_dists(space, u[None], np.stack([v, u]))[0]
             opt = _optimize_coset_dist(_coset(space, u), _coset(space, v), 8, 200, 0)
             assert closed[0] == pytest.approx(opt, abs=1e-8)
             assert closed[1] == pytest.approx(0.0, abs=1e-6)
@@ -278,4 +283,4 @@ class TestClosedFormsMatchOptimizer:
         for sub in (SubgroupSpec.tensor_factor(2, 2),
                     SubgroupSpec.block_diagonal([2, 1, 1])):
             space = HomSpace(GroupSpec("U", 4), sub)
-            assert _closed_form_dists(space, u, u[None]) is None
+            assert _closed_form_dists(space, u[None], u[None]) is None

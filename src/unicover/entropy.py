@@ -5,6 +5,14 @@ two-sided entropy bounds.
 Packings are verified epsilon-separated post hoc; net certification is
 probabilistic against a Haar probe cloud (the exact covering number is
 bracketed between the certified net and the packing count).
+
+In the operator norm, on the bare group and on Grassmannians, the loops
+first bound every pair by metrics._bracket (lo <= d <= hi, one GEMM over
+feature rows) and settle the pairs that clear epsilon, or the distance in
+question, by MARGIN; only the remaining pairs reach the exact distance.
+Every decision near epsilon and every reported value is an exact
+distance, so the results are those of the exhaustive loops.  On spaces
+with no bracket every pair is measured.
 """
 
 from __future__ import annotations
@@ -24,7 +32,13 @@ from .groups import (
     component_basis,
     haar_samples,
 )
-from .metrics import CosetPoint, _closed_form_dists, quotient_dist_upper
+from .metrics import (
+    CosetPoint,
+    _bracket,
+    _bracket_features,
+    _closed_form_dists,
+    quotient_dist_upper,
+)
 from .invariants import (
     diameter_known,
     kappa_known,
@@ -38,6 +52,11 @@ SpaceLike = Union[GroupSpec, HomSpace]
 # a time: enough to amortize the per-call overhead, few enough that a
 # block's temporaries stay small beside the arrays of centers and probes.
 BLOCK = 16
+
+# A bracket settles a pair only when it clears the threshold by this much:
+# far above the rounding of the bracket and of the exact distances, far
+# below any separation a construction resolves.
+MARGIN = 1e-9
 
 
 @dataclass
@@ -76,21 +95,44 @@ def _as_space(space: SpaceLike) -> HomSpace:
     return space
 
 
-def _dists(space: HomSpace, a: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """(len(a), len(stack)) array of distances from each point of a to each
-    point of stack: batched where the space has a closed form, otherwise an
-    optimizer upper bound per pair."""
-    if len(a) == 0 or len(stack) == 0:
-        return np.zeros((len(a), len(stack)))
-    d = _closed_form_dists(space, a, stack)
+def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the points of two broadcast-compatible stacks a
+    and b (shape (..., n, n)), as an array of their broadcast batch shape:
+    batched where the space has a closed form, otherwise an optimizer upper
+    bound per pair."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if 0 in shape:
+        return np.zeros(shape)
+    d = _closed_form_dists(space, a, b)
     if d is not None:
         return d
     g = space.group
-    qs = [CosetPoint(GroupElement(c, g), space) for c in stack]
+    a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, g.n, g.n) for x in (a, b))
     return np.array([
-        [quotient_dist_upper(CosetPoint(GroupElement(x, g), space), q) for q in qs]
-        for x in a
-    ])
+        quotient_dist_upper(CosetPoint(GroupElement(x, g), space),
+                            CosetPoint(GroupElement(y, g), space))
+        for x, y in zip(a, b)
+    ]).reshape(shape)
+
+
+def _all_farther(space, a, b, lo, hi, epsilon: float) -> np.ndarray:
+    """For each point of a, whether its distance to every point of b
+    exceeds epsilon, given the bracket lo <= d <= hi of each pair.  A pair
+    with hi <= epsilon - MARGIN fails its row; the pairs of the other rows
+    with lo <= epsilon + MARGIN are measured exactly, in one batched call."""
+    far = ~np.any(hi <= epsilon - MARGIN, axis=1)
+    rows, cols = np.nonzero(far[:, np.newaxis] & (lo <= epsilon + MARGIN))
+    far[rows[_dists(space, a[rows], b[cols]) <= epsilon]] = False
+    return far
+
+
+def _push(buf: np.ndarray, count: int, row) -> np.ndarray:
+    """buf with row stored at index count, doubled first when full."""
+    if count == len(buf):
+        grow = np.empty((max(count, BLOCK),) + buf.shape[1:], buf.dtype)
+        buf = np.concatenate([buf, grow])
+    buf[count] = row
+    return buf
 
 
 def _haar_blocks(group: GroupSpec, rng, m: int):
@@ -104,7 +146,8 @@ def dists_to_centers(space: SpaceLike, a: np.ndarray, centers) -> np.ndarray:
     metric on a group, the quotient metric on a homogeneous space.  Batched
     over the centers where the space has a closed form; otherwise an
     optimizer upper bound per center."""
-    return _dists(_as_space(space), np.asarray(a)[np.newaxis], np.asarray(centers))[0]
+    a = np.asarray(a)
+    return _dists(_as_space(space), a, np.asarray(centers).reshape((-1,) + a.shape))
 
 
 def greedy_packing(
@@ -124,10 +167,11 @@ def greedy_packing(
     nests the constructions so the count comparisons of the
     covering/packing chain hold by construction.
 
-    Candidates are taken BLOCK at a time: one batched call gives their
-    distances to the centers accepted before the block, and the survivors
-    are then checked in order against the centers the block itself has
-    accepted, so the accepted set is the one-at-a-time loop's.
+    Candidates are taken BLOCK at a time and checked against the centers
+    accepted before the block (the bracket first, then one exact call for
+    the undecided pairs); the survivors are then checked in order against
+    the centers the block itself has accepted, so the accepted set is the
+    one-at-a-time loop's.
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
@@ -139,16 +183,21 @@ def greedy_packing(
         (seeds[i:i + BLOCK] for i in range(0, len(seeds), BLOCK)),
         _haar_blocks(g, rng, sampler_budget),
     )
-    centers = np.empty((BLOCK, g.n, g.n), np.result_type(seeds, g.identity()))
+    centers = np.empty((0, g.n, g.n), np.result_type(seeds, g.identity()))
+    feats = _bracket_features(space, centers)
     count = 0
     for block in blocks:
-        far = np.all(_dists(space, block, centers[:count]) > epsilon, axis=1)
-        first = count
+        fb = _bracket_features(space, block)
+        lo, hi = _bracket(space, fb, feats[:count])
+        far = _all_farther(space, block, centers[:count], lo, hi, epsilon)
+        lo, hi = _bracket(space, fb, fb)
+        taken = []  # rows of the block accepted so far
         for j in np.flatnonzero(far):
-            if np.all(_dists(space, block[j:j + 1], centers[first:count]) > epsilon):
-                if count == len(centers):
-                    centers = np.concatenate([centers, np.empty_like(centers)])
-                centers[count] = block[j]
+            if _all_farther(space, block[j:j + 1], block[taken],
+                            lo[j:j + 1, taken], hi[j:j + 1, taken], epsilon)[0]:
+                centers = _push(centers, count, block[j])
+                feats = _push(feats, count, fb[j])
+                taken.append(j)
                 count += 1
     centers = centers[:count].copy()
     verify_separated(space, centers, epsilon)
@@ -163,18 +212,24 @@ def greedy_packing(
 
 def verify_separated(space: SpaceLike, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
-    epsilon; raises on any violation."""
+    epsilon; raises on any violation.  Every pair is either certified by
+    its bracket (lo > epsilon + MARGIN) or measured exactly."""
     space = _as_space(space)
     pts = np.asarray(centers)
+    feats = _bracket_features(space, pts)
     for start in range(0, len(pts), BLOCK):
-        block = pts[start:start + BLOCK]
-        before = _dists(space, block, pts[:start])
-        for j in range(len(block)):
-            d = np.concatenate([before[j], _dists(space, block[j:j + 1], block[:j])[0]])
-            if d.size and np.min(d) <= epsilon:
-                raise AssertionError(
-                    f"packing violation: pair at distance {np.min(d)} <= {epsilon}"
-                )
+        stop = min(start + BLOCK, len(pts))
+        lo, _ = _bracket(space, feats[start:stop], feats[:stop])
+        # each row against the points before it
+        earlier = np.arange(stop) < np.arange(start, stop)[:, np.newaxis]
+        rows, cols = np.nonzero(earlier & (lo <= epsilon + MARGIN))
+        d = _dists(space, pts[start + rows], pts[cols])
+        if d.size and np.min(d) <= epsilon:
+            i = int(np.argmin(d))
+            raise AssertionError(
+                f"packing violation: points {cols[i]} and {start + rows[i]} "
+                f"at distance {d[i]} <= {epsilon}"
+            )
 
 
 def greedy_net(
@@ -187,17 +242,23 @@ def greedy_net(
 ) -> NetResult:
     """Empirically certified net with centers in the space: farthest-point
     insertion over a Haar probe cloud until every probe lies within
-    epsilon * (1 + slack) of a center, or the center budget runs out."""
+    epsilon * (1 + slack) of a center, or the center budget runs out.  A
+    new center is measured exactly only against the probes its bracket
+    might bring closer (lo < nearest + MARGIN)."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
     space = _as_space(space)
     rng = np.random.default_rng(rng)
     probes = np.concatenate(list(_haar_blocks(space.group, rng, probe_budget)))
+    feats = _bracket_features(space, probes)
     chosen = [0]
     nearest = np.full(probe_budget, np.inf)
     exhausted = False
     while True:
-        nearest = np.minimum(nearest, _dists(space, probes[chosen[-1:]], probes)[0])
+        c = chosen[-1]
+        lo, _ = _bracket(space, feats[c:c + 1], feats)
+        near = np.flatnonzero(lo[0] < nearest + MARGIN)
+        nearest[near] = np.minimum(nearest[near], _dists(space, probes[c], probes[near]))
         worst = int(np.argmax(nearest))
         if nearest[worst] <= epsilon * (1.0 + slack):
             break
@@ -281,13 +342,20 @@ def certify_cover(
     space: SpaceLike, net: NetResult, probe_budget: int = 2000, rng=0
 ) -> float:
     """Max distance from Haar probes to the nearest net center; stores it on
-    the result and returns it."""
+    the result and returns it.  A probe's smallest bracket upper bound caps
+    its nearest distance, so only the centers whose lower bound is within
+    MARGIN of that cap are measured."""
     space = _as_space(space)
     rng = np.random.default_rng(rng)
     centers = np.asarray(net.points)
+    feats = _bracket_features(space, centers)
     worst = 0.0
     for block in _haar_blocks(space.group, rng, probe_budget):
-        worst = max(worst, float(np.max(np.min(_dists(space, block, centers), axis=1))))
+        lo, hi = _bracket(space, _bracket_features(space, block), feats)
+        rows, cols = np.nonzero(lo <= np.min(hi, axis=1, keepdims=True) + MARGIN)
+        nearest = np.full(len(block), np.inf)
+        np.minimum.at(nearest, rows, _dists(space, block[rows], centers[cols]))
+        worst = max(worst, float(np.max(nearest)))
     net.probe_count = probe_budget
     net.probe_max_dist = worst
     return worst

@@ -13,11 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Default tolerances: algebraic identities, decomposition-backed claims,
-# optimization-backed claims.  Overridable per call.
+# Default tolerance of algebraic identities.  Overridable per call.
 TOL_ALG = 1e-10
-TOL_DECOMP = 1e-8
-TOL_OPT = 1e-4
 
 SKEW_TOL = 1e-12
 PHASE_BRANCH_TOL = 1e-9

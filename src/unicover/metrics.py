@@ -65,20 +65,12 @@ class Curve:
     """
 
     points: Sequence = field()
-    times: Optional[Sequence[float]] = None
 
     def __post_init__(self):
         pts = [_mat(p) for p in self.points]
         if len(pts) < 1:
             raise InvalidArgumentError("curve needs at least one point")
-        times = self.times
-        if times is None:
-            k = len(pts)
-            times = tuple(np.linspace(0.0, 1.0, k)) if k > 1 else (0.0,)
-        if len(times) != len(pts):
-            raise InvalidArgumentError("times and points must align")
         object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "times", tuple(float(t) for t in times))
 
 
 def curve_length(curve: Curve, norm: NormSpec = OPERATOR) -> float:
@@ -124,12 +116,13 @@ class CosetPoint:
 
 
 def _closed_form_dists(
-    space: HomSpace, a: np.ndarray, stack: np.ndarray
+    space: HomSpace, a: np.ndarray, b: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Exact quotient distances, in the norm of the space, from each
-    representative in a (shape (m, n, n)) to each representative in stack
-    (shape (K, n, n)), as an (m, K) array; None when the subgroup has no
-    closed form (tensor factors, three or more blocks).
+    """Exact quotient distances, in the norm of the space, between the
+    representatives of two broadcast-compatible stacks a (shape (..., n, n))
+    and b, as an array of their broadcast batch shape: pass a[:, None] and
+    b[None] for all pairs.  None when the subgroup has no closed form
+    (tensor factors, three or more blocks).
 
     Each value is the gauge of the singular values of the shortest
     logarithm that joins the two cosets:
@@ -144,21 +137,79 @@ def _closed_form_dists(
     norm = space.norm
     n = space.n
     if sub.kind == "trivial":
-        w = np.einsum("mji,kjl->mkil", a.conj(), stack)
+        w = np.einsum("...ji,...jl->...il", a.conj(), b)
         return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
     if sub.kind == "grassmann":
         k = sub.k
-        gram = np.einsum("mji,kjl->mkil", a[:, :, :k].conj(), stack[:, :, :k])
+        gram = np.einsum("...ji,...jl->...il", a[..., :k].conj(), b[..., :k])
         s = np.linalg.svd(gram, compute_uv=False)
         # s descends, so the largest angles come from its tail; past
         # k = n / 2 the first 2k - n cosines are one
         angles = np.arccos(np.clip(s[..., max(0, 2 * k - n):], 0.0, 1.0))
         return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
     if sub.kind == "special":
-        w = np.einsum("mji,kjl->mkil", a.conj(), stack)
+        w = np.einsum("...ji,...jl->...il", a.conj(), b)
         phi = np.angle(np.linalg.det(w))
         return np.abs(phi) / n * norm.of_singular_values(np.ones(n))
     return None
+
+
+# Allowance on the bracket's sum of sin^2 terms for the rounding of its
+# inner product (a few ulps of a sum of size at most n, for representatives
+# unitary to rounding): it keeps lo <= d <= hi sound, and near 0 its square
+# root, 1e-6, is far wider than the 5e-8 floor of the Grassmann closed form.
+_BRACKET_SLACK = 1e-12
+
+
+def _bracket_features(space: HomSpace, x: np.ndarray) -> np.ndarray:
+    """Per-point feature rows for _bracket, shape (len(x), 2 n^2): the real
+    and imaginary parts of the projector E E* onto the span of the first k
+    columns (grassmann(k)) or of the matrix itself (trivial), flattened.
+    Zero-width rows where the space has no bracket."""
+    sub = space.subgroup
+    if not space.norm.is_operator or sub.kind not in ("trivial", "grassmann"):
+        return np.zeros((len(x), 0))
+    # complex even on SO(n), so that real and complex stacks share a width
+    x = np.asarray(x, dtype=complex)
+    if sub.kind == "grassmann":
+        e = x[..., :sub.k]
+        x = np.einsum("mik,mjk->mij", e, e.conj())
+    # a complex array viewed as floats interleaves real and imaginary parts
+    return np.ascontiguousarray(x).view(float).reshape(len(x), 2 * space.n ** 2)
+
+
+def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
+    """Bounds lo <= d <= hi on the operator-norm distance between each
+    point of fa and each point of fb (their _bracket_features rows), as two
+    (len(fa), len(fb)) arrays from one GEMM; lo = 0 and hi = inf where the
+    space has no bracket.
+
+    In each case s is a sum of m nonnegative terms, the largest of which
+    is sin^2(d / w), so sin^2(d / w) lies in [s/m, s]:
+    - grassmann(k): s = k - <P_a, P_b> is the sum of sin^2 over the
+      principal angles (the chordal distance of Conway, Hardin and Sloane),
+      m = min(k, n - k) of them nonzero, and d is the largest; w = 1.
+    - trivial on U(n): ||a - b||_F^2 = 2n - 2 Re tr(a* b) is the sum of
+      4 sin^2(phi_j / 2) over the n eigenphases of a* b, and d = max
+      |phi_j|; s = ||a - b||_F^2 / 4, m = n, w = 2.
+    - trivial on SO(n): the phases come in pairs +-phi_j, so s =
+      ||a - b||_F^2 / 8 sums m = floor(n / 2) terms; w = 2.
+    """
+    shape = (len(fa), len(fb))
+    if fa.shape[1] == 0:
+        return np.zeros(shape), np.full(shape, np.inf)
+    inner = fa @ fb.T
+    n = space.n
+    sub = space.subgroup
+    if sub.kind == "grassmann":
+        s, m, w = sub.k - inner, min(sub.k, n - sub.k), 1.0
+    elif space.group.kind == "SO":
+        s, m, w = (n - inner) / 4, n // 2, 2.0
+    else:
+        s, m, w = (n - inner) / 2, n, 2.0
+    lo = w * np.arcsin(np.sqrt(np.clip((s - _BRACKET_SLACK) / m, 0.0, 1.0)))
+    hi = w * np.arcsin(np.sqrt(np.clip(s + _BRACKET_SLACK, 0.0, 1.0)))
+    return lo, hi
 
 
 def quotient_dist_upper(
@@ -179,9 +230,9 @@ def quotient_dist_upper(
         raise InvalidArgumentError("cosets live in different spaces")
     u = _mat(p.representative)
     v = _mat(q.representative)
-    exact = _closed_form_dists(p.space, u[np.newaxis], v[np.newaxis])
+    exact = _closed_form_dists(p.space, u, v)
     if exact is not None:
-        return float(exact[0, 0])
+        return float(exact)
     return _optimize_coset_dist(p, q, restarts, max_iter, rng)
 
 

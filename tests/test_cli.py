@@ -165,8 +165,9 @@ GOLDEN = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.ini")))
 def test_golden_csv_byte_identical(name, tmp_path):
     """Recorded cover and packing curves (SO(3)/G(3,1), U(4)/G(4,2),
-    U(3)/SU(3)) are reproduced to the byte: the same seed gives the same
-    random stream, candidates and counts."""
+    U(5)/G(5,3) past k = n/2, U(3)/SU(3), bare U(3) and SO(4)) are
+    reproduced to the byte: the same seed gives the same random stream,
+    candidates and counts."""
     assert main(["run", str(GOLDEN / f"{name}.ini"), "--out-dir", str(tmp_path)]) == 0
     (out,) = tmp_path.glob("*_curve.csv")
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

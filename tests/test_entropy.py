@@ -26,6 +26,8 @@ from unicover.entropy import (
 
 U1 = GroupSpec("U", 1)
 G31_REAL = HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1))
+G42 = HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2))
+G53 = HomSpace(GroupSpec("U", 5), SubgroupSpec.grassmann(3))
 
 
 def circle_max_packing_bruteforce(epsilon: float, grid: int = 720) -> int:
@@ -139,14 +141,17 @@ def sequential_packing(space, epsilon, budget, rng, initial=()):
 
 
 class TestBlockedLoops:
-    """The block-wise loops accept, reject and report exactly what the
-    sequential loops do."""
+    """The block-wise, bracketed loops accept, reject and report exactly
+    what the sequential exhaustive loops do."""
 
     @pytest.mark.parametrize("space, epsilon, budget", [
         (G31_REAL, 0.5, 3 * BLOCK + 5),
         (GroupSpec("U", 2), 1.2, 3 * BLOCK + 5),
         (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), 0.2, 3 * BLOCK + 5),
-    ], ids=["SO3-grassmann1", "U2", "U3-special"])
+        (G42, 0.6, 6 * BLOCK + 5),
+        (G53, 0.7, 6 * BLOCK + 5),
+        (GroupSpec("SO", 4), 0.8, 6 * BLOCK + 5),
+    ], ids=["SO3-grassmann1", "U2", "U3-special", "U4-grassmann2", "U5-grassmann3", "SO4"])
     def test_packing_matches_sequential_loop(self, space, epsilon, budget):
         group = space.group if isinstance(space, HomSpace) else space
         # more seeds than one block, not separated among themselves
@@ -156,6 +161,12 @@ class TestBlockedLoops:
             got = greedy_packing(space, epsilon, budget, rng=4, initial=initial)
             assert got.count == len(want) == len(got.points)
             assert np.array_equal(got.points, np.array(want))
+
+    def test_real_seeds_on_a_complex_group(self):
+        seeds = [np.eye(3), np.diag([1.0, -1.0, -1.0])]
+        want = sequential_packing(GroupSpec("U", 3), 0.8, 40, 0, seeds)
+        got = greedy_packing(GroupSpec("U", 3), 0.8, 40, rng=0, initial=seeds)
+        assert np.array_equal(got.points, np.array(want))
 
     def test_packing_without_closed_form_adds_no_optimizer_run(self, monkeypatch):
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
@@ -189,27 +200,75 @@ class TestBlockedLoops:
             verify_separated(g, pts, 0.5)
 
     def test_net_matches_farthest_point_loop(self):
-        rng = np.random.default_rng(3)
-        probes = [haar_sample(G31_REAL.group, rng).matrix for _ in range(300)]
-        chosen, nearest = [0], np.full(300, np.inf)
-        while True:
-            nearest = np.minimum(nearest, dists_to_centers(G31_REAL, probes[chosen[-1]], probes))
-            worst = int(np.argmax(nearest))
-            if nearest[worst] <= 0.4 * 1.01:
-                break
-            chosen.append(worst)
-        net = greedy_net(G31_REAL, 0.4, 300, 300, rng=3)
-        assert np.array_equal(net.points, np.array(probes)[chosen])
-        assert net.probe_max_dist == np.max(nearest)
+        for space, epsilon in [(G31_REAL, 0.4), (G42, 0.6), (G53, 0.7),
+                               (GroupSpec("SO", 4), 0.8)]:
+            group = space.group if isinstance(space, HomSpace) else space
+            rng = np.random.default_rng(3)
+            probes = np.array([haar_sample(group, rng).matrix for _ in range(300)])
+            # every probe measured against every new center
+            chosen, nearest = [0], np.full(300, np.inf)
+            while True:
+                nearest = np.minimum(nearest, dists_to_centers(space, probes[chosen[-1]], probes))
+                worst = int(np.argmax(nearest))
+                if nearest[worst] <= epsilon * 1.01:
+                    break
+                chosen.append(worst)
+            net = greedy_net(space, epsilon, 300, 300, rng=3)
+            assert np.array_equal(net.points, probes[chosen])
+            assert net.probe_max_dist == np.max(nearest)
 
     def test_certify_cover_matches_per_probe_loop(self):
-        net = linearized_cover(G31_REAL, 0.8)
-        rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(500):
-            p = haar_sample(G31_REAL.group, rng).matrix
-            worst = max(worst, float(np.min(dists_to_centers(G31_REAL, p, net.points))))
-        assert certify_cover(G31_REAL, net, probe_budget=500, rng=0) == worst
+        so4 = GroupSpec("SO", 4)
+        for space, net in [(G31_REAL, linearized_cover(G31_REAL, 0.8)),
+                           (G42, greedy_net(G42, 0.7, 200, 200, rng=1)),
+                           (so4, greedy_net(so4, 0.9, 200, 200, rng=1))]:
+            group = space.group if isinstance(space, HomSpace) else space
+            rng = np.random.default_rng(0)
+            worst = 0.0
+            for _ in range(500):
+                p = haar_sample(group, rng).matrix
+                worst = max(worst, float(np.min(dists_to_centers(space, p, net.points))))
+            assert certify_cover(space, net, probe_budget=500, rng=0) == worst
+
+    @pytest.mark.parametrize("space", [G42, GroupSpec("SO", 3), GroupSpec("U", 3)],
+                             ids=["U4-grassmann2", "SO3", "U3"])
+    def test_verify_separated_at_epsilon(self, space):
+        # a pair exactly epsilon apart is not separated; one at
+        # epsilon * (1 + 1e-6) is, whether its bracket or its exact
+        # distance decides (the two orders of a pair may differ by an ulp)
+        group = space.group if isinstance(space, HomSpace) else space
+        pair = haar_samples(group, np.random.default_rng(5), 2)
+        d = [dists_to_centers(space, pair[i], pair[1 - i:2 - i])[0] for i in (0, 1)]
+        with pytest.raises(AssertionError):
+            verify_separated(space, pair, max(d))
+        verify_separated(space, pair, min(d) / (1 + 1e-6))
+
+    def test_bracket_spares_most_exact_distances(self, monkeypatch):
+        # a bracket that were silently bypassed would send every pair to
+        # the exact path; the results must not depend on it
+        pairs = []
+        real = entropy._closed_form_dists
+
+        def counted(space, a, b):
+            d = real(space, a, b)
+            pairs.append(d.size)
+            return d
+
+        monkeypatch.setattr(entropy, "_closed_form_dists", counted)
+        runs = {}
+        for bracketed in (True, False):
+            if not bracketed:
+                monkeypatch.setattr(entropy, "_bracket_features",
+                                    lambda space, x: np.zeros((len(x), 0)))
+            pairs.clear()
+            net = greedy_net(G42, 0.6, 400, 400, rng=2)
+            pack = greedy_packing(G42, 0.6, 400, rng=2, initial=net.points)
+            runs[bracketed] = (sum(pairs), net, pack)
+        (measured, net, pack), (exhaustive, net0, pack0) = runs[True], runs[False]
+        assert measured < 0.25 * exhaustive
+        assert np.array_equal(net.points, net0.points)
+        assert net.probe_max_dist == net0.probe_max_dist
+        assert np.array_equal(pack.points, pack0.points)
 
 
 class TestChain:

@@ -19,6 +19,7 @@ from unicover.groups import (
     HomSpace,
     SubgroupSpec,
     haar_sample,
+    haar_samples,
     tangent_sample,
 )
 from unicover.metrics import (
@@ -30,6 +31,8 @@ from unicover.metrics import (
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
+    _bracket,
+    _bracket_features,
     _closed_form_dists,
     _optimize_coset_dist,
 )
@@ -121,8 +124,6 @@ class TestCurves:
             curve_length(Curve(pts))
 
     def test_times_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            Curve([np.eye(2)], times=[0.0, 1.0])
         with pytest.raises(InvalidArgumentError):
             Curve([])
 
@@ -221,7 +222,7 @@ class TestQuotientDist:
         x = tangent_sample(space, "X", np.pi, np.random.default_rng(1)).matrix
         for t in (0.3, 0.6, 0.75, 0.95):
             v = expm_skew(t * x)
-            closed = _closed_form_dists(space, np.eye(3, dtype=complex)[None], v[None])[0, 0]
+            closed = _closed_form_dists(space, np.eye(3, dtype=complex), v)
             opt = _optimize_coset_dist(base, _coset(space, v), 8, 200, 0)
             assert opt == pytest.approx(closed, abs=1e-6)
 
@@ -235,6 +236,11 @@ class TestQuotientDist:
         v = u @ expm_skew(h)
         d = quotient_dist_upper(_coset(space, u), _coset(space, v), rng=rng)
         assert d <= 1e-5
+
+
+def _space_id(space):
+    sub = space.subgroup
+    return f"{space.group.kind}{space.n}-{sub.kind}{sub.k or ''}"
 
 
 CLOSED_FORM_SPACES = [
@@ -263,8 +269,7 @@ class TestClosedFormsMatchOptimizer:
 
     @pytest.mark.parametrize("norm_id", list(NORMS))
     @pytest.mark.parametrize(
-        "space", CLOSED_FORM_SPACES,
-        ids=lambda s: f"{s.group.kind}{s.n}-{s.subgroup.kind}{s.subgroup.k or ''}")
+        "space", CLOSED_FORM_SPACES, ids=_space_id)
     def test_agreement(self, space, norm_id):
         space = HomSpace(space.group, space.subgroup, NORMS[norm_id])
         rng = np.random.default_rng(7)
@@ -272,7 +277,7 @@ class TestClosedFormsMatchOptimizer:
             u = haar_sample(space.group, rng).matrix
             x = tangent_sample(space, "X", np.pi / 4, rng).matrix
             v = u @ expm_skew(x)
-            closed = _closed_form_dists(space, u[None], np.stack([v, u]))[0]
+            closed = _closed_form_dists(space, u, np.stack([v, u]))
             opt = _optimize_coset_dist(_coset(space, u), _coset(space, v), 8, 200, 0)
             assert closed[0] == pytest.approx(opt, abs=1e-8)
             assert closed[1] == pytest.approx(0.0, abs=1e-6)
@@ -283,4 +288,68 @@ class TestClosedFormsMatchOptimizer:
         for sub in (SubgroupSpec.tensor_factor(2, 2),
                     SubgroupSpec.block_diagonal([2, 1, 1])):
             space = HomSpace(GroupSpec("U", 4), sub)
-            assert _closed_form_dists(space, u[None], u[None]) is None
+            assert _closed_form_dists(space, u, u) is None
+
+
+TRIVIAL = SubgroupSpec.trivial()
+BRACKET_SPACES = (
+    [HomSpace(GroupSpec("U", n), TRIVIAL) for n in range(1, 5)]
+    + [HomSpace(GroupSpec("SO", n), TRIVIAL) for n in range(2, 6)]
+    + [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
+       for g, n, k in [("U", 4, 2), ("U", 3, 1), ("U", 5, 3), ("SO", 3, 1), ("SO", 4, 2)]]
+)
+
+
+def _bracket_pairs(space, a, b):
+    """The bracket and the exact distance of the pairs (a[i], b[i])."""
+    lo, hi = _bracket(space, _bracket_features(space, a), _bracket_features(space, b))
+    return lo.diagonal(), hi.diagonal(), _closed_form_dists(space, a, b)
+
+
+class TestBracket:
+    """lo <= d <= hi for the operator-norm bracket of the bare groups and
+    the Grassmannians, against the exact closed form."""
+
+    @pytest.mark.parametrize("space", BRACKET_SPACES, ids=_space_id)
+    def test_contains_exact_on_haar_pairs(self, space):
+        rng = np.random.default_rng(11)
+        a = haar_samples(space.group, rng, 200)
+        b = haar_samples(space.group, rng, 200)
+        lo, hi, d = _bracket_pairs(space, a, b)
+        assert np.all(lo <= d + 1e-12)
+        assert np.all(d <= hi + 1e-12)
+        sub = space.subgroup
+        terms = (min(sub.k, space.n - sub.k) if sub.kind == "grassmann"
+                 else space.n // 2 if space.group.kind == "SO" else space.n)
+        if terms == 1:  # one nonzero term: the bracket pins the distance
+            assert np.all(hi - lo <= 1e-9)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3])
+    @pytest.mark.parametrize("space", BRACKET_SPACES, ids=_space_id)
+    def test_contains_exact_on_near_pairs(self, space, delta):
+        # the Grassmann closed form loses half its digits near 0 (a 5e-8
+        # floor), so these pairs get a wider tolerance
+        rng = np.random.default_rng(12)
+        a = haar_samples(space.group, rng, 50)
+        b = []
+        for u in a:
+            x = tangent_sample(space, "X", 1.0, rng).matrix
+            b.append(u @ expm_skew(delta / opnorm(x) * x))
+        lo, hi, d = _bracket_pairs(space, a, np.array(b))
+        assert np.all(lo <= d + 1e-7)
+        assert np.all(d <= hi + 1e-7)
+        assert np.all(d <= delta + 1e-7)
+
+    @pytest.mark.parametrize("space", [
+        HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+        HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)),
+        HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])),
+        HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2), NormSpec.schatten(1)),
+        HomSpace(GroupSpec("U", 3), TRIVIAL, FROBENIUS),
+    ], ids=["special", "tensor2x2", "block111", "schatten1", "schatten2"])
+    def test_no_bracket(self, space):
+        a = haar_samples(space.group, np.random.default_rng(13), 5)
+        f = _bracket_features(space, a)
+        assert f.shape == (5, 0)
+        lo, hi = _bracket(space, f, f[:3])
+        assert np.all(lo == 0.0) and np.all(hi == np.inf) and lo.shape == (5, 3)

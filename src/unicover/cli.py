@@ -35,7 +35,7 @@ import numpy as np
 
 from .groups import GroupSpec, HomSpace, SubgroupSpec
 from .matcore import InvalidArgumentError
-from .invariants import diameter_known, kappa_lower, theta_known
+from .invariants import diameter_known, kappa_known, kappa_lower, theta_known
 from .entropy import greedy_net, greedy_packing, theorem8_bounds
 from . import verify as verify_mod
 
@@ -152,7 +152,9 @@ def _atomic_write(path: str, data: str) -> None:
 
 def _invariant_row(space, seed: int, samples: int) -> dict:
     if isinstance(space, HomSpace):
-        kl = kappa_lower(space, samples=samples, rng=seed)
+        kl = kappa_known(space)
+        if kl is None:
+            kl = kappa_lower(space, samples=samples, rng=seed)
         th = theta_known(space)
         dm = diameter_known(space)
         dim = space.dim

@@ -28,9 +28,11 @@ class BranchAmbiguityError(ValueError):
     """The principal matrix logarithm is ambiguous: an eigenvalue sits at -1."""
 
 
-def _as_square(x) -> np.ndarray:
+def _as_square(x, stack: bool = False) -> np.ndarray:
+    """x as an array of one square matrix or, with stack, of shape
+    (..., n, n); finite entries."""
     a = np.asarray(x)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidArgumentError("matrix has non-finite entries")
@@ -105,30 +107,43 @@ def schatten_norm(x, spec: NormSpec = OPERATOR) -> float:
     return spec.of_singular_values(s)
 
 
-def opnorm(x) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(np.asarray(x), 2))
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def opnorm(x):
+    """Operator (spectral) norm; a stack of shape (..., m, n) gives an array
+    of one norm per matrix."""
+    out = np.linalg.norm(np.asarray(x), 2, axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 def is_skew(x, tol: float = SKEW_TOL) -> bool:
+    """Whether x, or every matrix of a stack x, is skew within tol times the
+    larger of 1 and its own largest entry."""
     a = np.asarray(x)
-    return bool(np.max(np.abs(a + a.conj().T)) <= tol * max(1.0, np.max(np.abs(a))))
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=axes))
+    return bool(np.all(np.max(np.abs(a + _adjoint(a)), axis=axes) <= tol * scale))
 
 
 def expm_skew(x, tol: float = SKEW_TOL) -> np.ndarray:
-    """Matrix exponential of a skew-Hermitian (or real skew-symmetric) x.
+    """Matrix exponential of a skew-Hermitian (or real skew-symmetric) x,
+    or of each matrix of a stack of shape (..., n, n).
 
     Computed from the eigendecomposition of the Hermitian matrix -ix; the
     result is unitary by construction.  Real input yields a real
-    (special-orthogonal) output.
+    (special-orthogonal) output.  A stack is validated once, as a whole,
+    and each of its matrices gives the same bits as its own call.
     """
-    a = _as_square(x)
+    a = _as_square(x, stack=True)
     if not is_skew(a, tol):
         raise InvalidArgumentError("matrix is not skew-Hermitian within tolerance")
     real_input = not np.iscomplexobj(a)
     h = -1j * a.astype(complex)  # Hermitian
     w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * w)) @ v.conj().T
+    u = (v * np.exp(1j * w)[..., np.newaxis, :]) @ _adjoint(v)
     if real_input:
         return u.real
     return u

@@ -115,6 +115,15 @@ class CosetPoint:
         return quotient_dist_upper(self, other) <= tol
 
 
+def _phase_dists(a: np.ndarray, b: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Intrinsic distances between the unitaries of two broadcast-compatible
+    stacks a and b: the gauge of the eigenphases of each a* b, from one
+    batched eigvals (intrinsic_dist takes them from a Schur form, so the two
+    agree to rounding)."""
+    w = np.einsum("...ji,...jl->...il", a.conj(), b)
+    return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
+
+
 def _closed_form_dists(
     space: HomSpace, a: np.ndarray, b: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -137,8 +146,7 @@ def _closed_form_dists(
     norm = space.norm
     n = space.n
     if sub.kind == "trivial":
-        w = np.einsum("...ji,...jl->...il", a.conj(), b)
-        return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
+        return _phase_dists(a, b, norm)
     if sub.kind == "grassmann":
         k = sub.k
         gram = np.einsum("...ji,...jl->...il", a[..., :k].conj(), b[..., :k])

@@ -3,8 +3,15 @@ is built around: the phase identity between norm and geodesic distance, the
 exponential-map contraction constants, the commutator defect bound, the
 quotient lower-Lipschitz constants and geodesic minimality.
 
+Each check runs in two phases.  A plain loop first draws every random
+input of the whole sample, in the order the per-sample checks once drew
+them, so a seed gives the same inputs and leaves the generator in the same
+state; then the linear algebra for all samples runs as stacked kernel
+calls (expm_skew, opnorm, batched eigvals and SVD).
+
 Each check returns a CheckReport that serializes to JSON; the worst witness
-round-trips through base64 so failures can be replayed.
+round-trips through base64 so failures can be replayed.  A witness is a copy
+of its sample, not a view into the batch.
 """
 
 from __future__ import annotations
@@ -21,23 +28,21 @@ from .matcore import (
     FROBENIUS,
     OPERATOR,
     InvalidArgumentError,
+    _adjoint,
     expm_skew,
     opnorm,
-    schatten_norm,
 )
 from .groups import (
     GroupElement,
     GroupSpec,
     HomSpace,
-    _skew_gaussian,
-    haar_sample,
+    haar_samples,
     tangent_sample,
 )
 from .metrics import (
     CosetPoint,
-    Curve,
-    curve_length,
-    extrinsic_dist,
+    _closed_form_dists,
+    _phase_dists,
     intrinsic_dist,
     quotient_dist_upper,
 )
@@ -88,27 +93,46 @@ def load_witness(witness_b64: str) -> Dict[str, np.ndarray]:
     return {k: data[k] for k in data.files}
 
 
-def _skew_ball(group: GroupSpec, radius: float, rng) -> np.ndarray:
-    """Skew element with operator norm uniform on (0, radius]."""
-    x = _skew_gaussian(group, rng)
-    target = radius * rng.uniform(np.nextafter(0.0, 1.0), 1.0)
-    return x * (target / opnorm(x))
+def _skew_balls(group: GroupSpec, radius, rng, m: int) -> np.ndarray:
+    """m skew elements, shape (m, n, n), each with operator norm uniform on
+    (0, radius]; radius is a scalar or one value per element.
+
+    Per element the generator gives the Gaussian matrix of _skew_gaussian
+    (real, then imaginary part) and then the uniform norm fraction, in the
+    order of m single draws; the scaling is one batched operator norm.
+    """
+    n = group.n
+    parts = 2 if group.is_complex else 1
+    g = np.empty((m, parts, n, n))
+    frac = np.empty(m)
+    tiny = np.nextafter(0.0, 1.0)
+    for i in range(m):
+        rng.standard_normal(out=g[i])
+        frac[i] = rng.uniform(tiny, 1.0)
+    a = g[:, 0] + 1j * g[:, 1] if group.is_complex else g[:, 0]
+    x = 0.5 * (a - _adjoint(a))
+    return x * (radius * frac / opnorm(x))[:, np.newaxis, np.newaxis]
+
+
+def _worst(dev: np.ndarray, floor: float, **stacks):
+    """The largest value of dev when it exceeds floor, with the rows of the
+    stacks at the first sample that reaches it; else floor and no witness.
+    The rows are copied, so that a report does not keep its batch alive."""
+    if dev.size == 0 or not dev.max() > floor:
+        return floor, None
+    i = int(np.argmax(dev))
+    return float(dev[i]), {k: s[i].copy() for k, s in stacks.items()}
 
 
 def check_eq6(n: int, samples: int = 1000, rng=0) -> CheckReport:
     """Identity between the norm distance of two unitaries and the phase
     chord |1 - exp(i rho)| of their geodesic distance."""
     rng = np.random.default_rng(rng)
-    g = GroupSpec("U", n)
-    worst, witness = 0.0, None
-    for _ in range(samples):
-        u = haar_sample(g, rng).matrix
-        v = haar_sample(g, rng).matrix
-        lhs = extrinsic_dist(u, v, OPERATOR)
-        rho = intrinsic_dist(u, v, OPERATOR)
-        dev = abs(lhs - abs(1 - np.exp(1j * rho)))
-        if dev > worst:
-            worst, witness = dev, {"u": u, "v": v}
+    pairs = haar_samples(GroupSpec("U", n), rng, 2 * samples)
+    u, v = pairs[0::2], pairs[1::2]
+    rho = _phase_dists(u, v, OPERATOR)
+    dev = np.abs(opnorm(u - v) - np.abs(1 - np.exp(1j * rho)))
+    worst, witness = _worst(dev, 0.0, u=u, v=v)
     return CheckReport("eq6", {"n": n}, samples, worst, 1e-8, witness)
 
 
@@ -137,21 +161,16 @@ def check_lemma4(
 ) -> CheckReport:
     """Contraction and lower-Lipschitz constants of exp on the theta-ball:
     all difference ratios lie in [product bound, 1]."""
-    rng = np.random.default_rng(rng)
-    g = GroupSpec("U", n)
     bound = lemma4_product_bound(theta)
-    min_ratio, max_ratio = np.inf, 0.0
-    witness = None
-    for _ in range(samples):
-        x = _skew_ball(g, theta, rng)
-        y = _skew_ball(g, theta, rng)
-        denom = opnorm(x - y)
-        if denom < 1e-12:
-            continue
-        ratio = opnorm(expm_skew(x) - expm_skew(y)) / denom
-        if ratio < min_ratio:
-            min_ratio, witness = ratio, {"x": x, "y": y}
-        max_ratio = max(max_ratio, ratio)
+    rng = np.random.default_rng(rng)
+    balls = _skew_balls(GroupSpec("U", n), theta, rng, 2 * samples)
+    x, y = balls[0::2], balls[1::2]
+    denom = opnorm(x - y)
+    keep = np.flatnonzero(denom >= 1e-12)
+    e = expm_skew(balls)
+    ratio = opnorm(e[0::2][keep] - e[1::2][keep]) / denom[keep]
+    neg_min, witness = _worst(-ratio, -np.inf, x=x[keep], y=y[keep])
+    min_ratio, max_ratio = -neg_min, float(ratio.max(initial=0.0))
     violation = max(
         (bound - min_ratio) - 1e-6,  # lower constant, tolerance 1e-6
         (max_ratio - 1.0) - 1e-9,  # contraction, tolerance 1e-9
@@ -188,16 +207,21 @@ def check_lemma5(
     if radius > 0.7:
         raise InvalidArgumentError("radius must keep distances branch-safe (<= 0.7)")
     rng = np.random.default_rng(rng)
-    g = GroupSpec("U", n)
-    worst, witness = -np.inf, None
-    for _ in range(samples):
-        x = _skew_ball(g, radius, rng)
-        y = _skew_ball(g, radius, rng)
-        comm = x @ y - y @ x
-        for norm in (OPERATOR, FROBENIUS):
-            dev = commutator_defect(x, y, norm) - schatten_norm(comm, norm)
-            if dev > worst:
-                worst, witness = dev, {"x": x, "y": y}
+    balls = _skew_balls(GroupSpec("U", n), radius, rng, 2 * samples)
+    x, y = balls[0::2], balls[1::2]
+    e = expm_skew(balls)
+    exy = expm_skew(x + y)[:, np.newaxis]
+    # the two product orders side by side, shape (samples, 2, n, n)
+    products = np.stack([e[0::2] @ e[1::2], e[1::2] @ e[0::2]], axis=1)
+    s = np.linalg.svd(x @ y - y @ x, compute_uv=False)
+    dev = np.max(
+        [
+            np.max(_phase_dists(exy, products, norm), axis=1) - norm.of_singular_values(s)
+            for norm in (OPERATOR, FROBENIUS)
+        ],
+        axis=0,
+    )
+    worst, witness = _worst(dev, -np.inf, x=x, y=y)
     return CheckReport(
         "lemma5", {"n": n, "radius": radius}, samples, worst, 1e-8, witness
     )
@@ -238,25 +262,28 @@ def check_lemma10(
         )
     rng = np.random.default_rng(rng)
     g = space.group
-    worst, witness = -np.inf, None
-    violations = 0
+    x, xp = [], []
     for _ in range(samples):
-        x = tangent_sample(space, "X", r, rng).matrix
-        xp = (
-            np.zeros_like(x)
+        x.append(tangent_sample(space, "X", r, rng).matrix)
+        xp.append(
+            np.zeros_like(x[-1])
             if x_prime_zero
             else tangent_sample(space, "X", r, rng).matrix
         )
-        sep = opnorm(x - xp)
-        if sep < 1e-12:
-            continue
-        d = quotient_dist_upper(CosetPoint(GroupElement(expm_skew(x), g), space),
-                                CosetPoint(GroupElement(expm_skew(xp), g), space))
-        dev = lam * sep - d - 1e-6  # positive only on a sound violation
-        if dev > worst:
-            worst, witness = dev, {"x": x, "x_prime": xp}
-        if dev > 0:
-            violations += 1
+    x, xp = np.reshape(x, (samples, g.n, g.n)), np.reshape(xp, (samples, g.n, g.n))
+    sep = opnorm(x - xp)
+    keep = np.flatnonzero(sep >= 1e-12)
+    a, b = expm_skew(x[keep]), expm_skew(xp[keep])
+    d = _closed_form_dists(space, a, b)
+    if d is None:
+        d = np.array([
+            quotient_dist_upper(CosetPoint(GroupElement(u, g), space),
+                                CosetPoint(GroupElement(v, g), space))
+            for u, v in zip(a, b)
+        ])
+    dev = lam * sep[keep] - d - 1e-6  # positive only on a sound violation
+    worst, witness = _worst(dev, -np.inf, x=x[keep], x_prime=xp[keep])
+    violations = int(np.sum(dev > 0))
     return CheckReport(
         "lemma10",
         {
@@ -279,24 +306,37 @@ def check_geodesic_minimality(
     """No sampled polygonal competitor between the identity and exp(x) is
     shorter than the one-parameter-subgroup arc of length ||x||."""
     rng = np.random.default_rng(rng)
-    g = GroupSpec("U", n)
-    worst, witness = -np.inf, None
     segments = 8
-    for _ in range(samples):
-        x = _skew_ball(g, np.pi - 0.1, rng)
-        target = opnorm(x)
-        for _ in range(competitors):
-            ts = np.linspace(0.0, 1.0, segments + 1)
-            pts = []
-            for i, t in enumerate(ts):
-                p = expm_skew(t * x)
-                if 0 < i < segments:
-                    p = p @ expm_skew(_skew_ball(g, 0.25, rng))
-                pts.append(p)
-            length = curve_length(Curve(pts))
-            dev = (target - length) - 1e-7
-            if dev > worst:
-                worst, witness = dev, {"x": x}
+    # per sample: the endpoint x, then one kink per interior point of each
+    # competitor, in the order they were once drawn one at a time
+    kinks = competitors * (segments - 1)
+    radius = np.tile(np.r_[np.pi - 0.1, np.full(kinks, 0.25)], samples)
+    balls = _skew_balls(GroupSpec("U", n), radius, rng, samples * (1 + kinks))
+    balls = balls.reshape(samples, 1 + kinks, n, n)
+    x = balls[:, 0]
+    ts = np.linspace(0.0, 1.0, segments + 1)
+    # the arc exp(t x) at the subdivision, shape (samples, segments + 1, n, n)
+    arc = expm_skew(ts[:, np.newaxis, np.newaxis] * x[:, np.newaxis])
+    bent = arc[:, np.newaxis, 1:-1] @ expm_skew(
+        balls[:, 1:].reshape(samples, competitors, segments - 1, n, n)
+    )
+    shape = (samples, competitors, 1, n, n)
+    pts = np.concatenate(
+        [np.broadcast_to(arc[:, np.newaxis, :1], shape), bent,
+         np.broadcast_to(arc[:, np.newaxis, -1:], shape)],
+        axis=2,
+    )
+    # the operator norm is the one whose geodesic the arc is; each segment
+    # must be shorter than pi/2 to be a unique geodesic (as in curve_length)
+    gaps = _phase_dists(pts[:, :, :-1], pts[:, :, 1:], OPERATOR)
+    if np.any(gaps >= np.pi / 2):
+        gap = gaps[gaps >= np.pi / 2][0]
+        raise InvalidArgumentError(f"consecutive samples {gap:.4f} apart; need < pi/2")
+    length = gaps[..., 0]
+    for j in range(1, segments):  # summed in curve order
+        length = length + gaps[..., j]
+    dev = (opnorm(x)[:, np.newaxis] - length) - 1e-7
+    worst, witness = _worst(np.max(dev, axis=1), -np.inf, x=x)
     return CheckReport(
         "geodesic_minimality",
         {"n": n, "competitors": competitors},

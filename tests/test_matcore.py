@@ -116,6 +116,32 @@ class TestExpmSkew:
             expm_skew(bad)
 
 
+class TestStacks:
+    @pytest.mark.parametrize("n, complex_", [(3, True), (4, False)], ids=["U3", "SO4"])
+    def test_stack_matches_per_matrix(self, rng, n, complex_):
+        x = np.array([random_skew(n, rng, complex_) for _ in range(12)])
+        x = x.reshape(3, 4, n, n)
+        e, nrm = expm_skew(x), opnorm(x)
+        assert e.shape == x.shape and e.dtype == (complex if complex_ else float)
+        assert nrm.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(e[idx], expm_skew(x[idx]))
+            assert nrm[idx] == opnorm(x[idx])
+
+    def test_stack_with_one_non_skew_matrix_raises(self, rng):
+        x = np.array([random_skew(3, rng) for _ in range(5)])
+        # skewness is judged per matrix: a large neighbour does not widen
+        # the tolerance of a small one
+        x[0] *= 1e6
+        x[3, 0, 1] += 1e-9
+        with pytest.raises(InvalidArgumentError):
+            expm_skew(x[3])
+        with pytest.raises(InvalidArgumentError):
+            expm_skew(x)
+        assert is_skew(np.delete(x, 3, axis=0))
+        assert not is_skew(x)
+
+
 class TestEigenphases:
     def test_matches_charpoly_oracle(self, rng):
         x = random_skew(4, rng)

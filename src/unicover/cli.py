@@ -58,9 +58,9 @@ class ConfigError(Exception):
     pass
 
 
-def parse_space(cfg: configparser.ConfigParser):
-    """Build the GroupSpec / HomSpace the config describes.  A trivial
-    subgroup (or none) yields the bare group."""
+def parse_space(cfg: configparser.ConfigParser) -> HomSpace:
+    """Build the HomSpace the config describes.  A trivial subgroup (or
+    none) gives the bare group."""
     if "space" not in cfg:
         raise ConfigError("missing [space] section")
     sec = cfg["space"]
@@ -68,28 +68,21 @@ def parse_space(cfg: configparser.ConfigParser):
         group = GroupSpec(sec.get("group", "U").strip(), sec.getint("n"))
     except (TypeError, ValueError, InvalidArgumentError) as exc:
         raise ConfigError(f"bad group spec: {exc}") from exc
+    build = {
+        "trivial": SubgroupSpec.trivial,
+        "special": SubgroupSpec.special,
+        "grassmann": lambda: SubgroupSpec.grassmann(sec.getint("k")),
+        "block_diagonal": lambda: SubgroupSpec.block_diagonal(
+            [int(b) for b in sec.get("partition", "").split()]),
+        "tensor_factor": lambda: SubgroupSpec.tensor_factor(sec.getint("m"), sec.getint("k")),
+    }
     kind = sec.get("subgroup", "trivial").strip()
+    if kind not in build:
+        raise ConfigError(f"unknown subgroup kind {kind!r}")
     try:
-        if kind == "trivial":
-            sub = SubgroupSpec.trivial()
-        elif kind == "special":
-            sub = SubgroupSpec.special()
-        elif kind == "grassmann":
-            sub = SubgroupSpec.grassmann(sec.getint("k"))
-        elif kind == "block_diagonal":
-            sub = SubgroupSpec.block_diagonal(
-                [int(b) for b in sec.get("partition", "").split()]
-            )
-        elif kind == "tensor_factor":
-            sub = SubgroupSpec.tensor_factor(sec.getint("m"), sec.getint("k"))
-        else:
-            raise ConfigError(f"unknown subgroup kind {kind!r}")
-        space = HomSpace(group, sub)
+        return HomSpace(group, build[kind]())
     except (TypeError, ValueError, InvalidArgumentError) as exc:
         raise ConfigError(f"bad subgroup spec: {exc}") from exc
-    if kind == "trivial":
-        return group, space
-    return space, space
 
 
 def parse_task(cfg: configparser.ConfigParser) -> dict:
@@ -121,19 +114,9 @@ def parse_task(cfg: configparser.ConfigParser) -> dict:
     }
 
 
-def _space_id(space_or_group) -> str:
-    if isinstance(space_or_group, HomSpace):
-        sub = space_or_group.subgroup
-        extra = ""
-        if sub.kind == "grassmann":
-            extra = f"({sub.k})"
-        elif sub.kind == "block_diagonal":
-            extra = "(" + "+".join(map(str, sub.partition)) + ")"
-        elif sub.kind == "tensor_factor":
-            extra = f"({sub.m}x{sub.k})"
-        g = space_or_group.group
-        return f"{g.kind}{g.n}/{sub.kind}{extra}"
-    return f"{space_or_group.kind}{space_or_group.n}"
+def _space_id(space: HomSpace) -> str:
+    g, label = space.group, space.subgroup.label
+    return f"{g.kind}{g.n}/{label}" if label else f"{g.kind}{g.n}"
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -150,32 +133,28 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _invariant_row(space, seed: int, samples: int) -> dict:
-    if isinstance(space, HomSpace):
-        kl = kappa_known(space)
-        if kl is None:
-            kl = kappa_lower(space, samples=samples, rng=seed)
-        th = theta_known(space)
-        dm = diameter_known(space)
-        dim = space.dim
-    else:
-        kl, th, dm, dim = 1.0, None, diameter_known(space), space.dim
+def _invariant_row(space: HomSpace, seed: int, samples: int) -> dict:
+    kl = kappa_known(space)
+    if kl is None:
+        kl = kappa_lower(space, samples=samples, rng=seed)
+    th = theta_known(space)
+    dm = diameter_known(space)
     return {
-        "dim_M": dim,
+        "dim_M": space.dim,
         "theta": "" if th is None else f"{th:.12g}",
         "diam": "" if dm is None else f"{dm:.12g}",
         "kappa_lb": f"{kl:.12g}",
     }
 
 
-def run_task(space_or_group, space: HomSpace, task: dict, out_dir: str) -> int:
+def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
     kind = task["kind"]
     seed = task["seed"]
-    sid = _space_id(space_or_group)
-    inv = _invariant_row(space_or_group, seed, task["samples"])
+    sid = _space_id(space)
+    inv = _invariant_row(space, seed, task["samples"])
 
     if kind == "verify_all":
-        n = space.n if isinstance(space, HomSpace) else space_or_group.n
+        n = space.n
         checks = [
             verify_mod.check_eq6(n, samples=200, rng=seed),
             verify_mod.check_lemma4(n, np.pi / 4, samples=500, rng=seed),
@@ -200,11 +179,9 @@ def run_task(space_or_group, space: HomSpace, task: dict, out_dir: str) -> int:
         return 0
 
     if kind == "bounds":
-        if not isinstance(space_or_group, HomSpace):
-            raise ConfigError("bounds task needs a nontrivial quotient")
         lines = []
         for eps in task["epsilon_grid"]:
-            rep = theorem8_bounds(space_or_group, eps)
+            rep = theorem8_bounds(space, eps)
             # a bound the space does not pin down is an empty field
             lower, upper = ("" if b is None else b
                             for b in (rep.lower_bound, rep.upper_bound))
@@ -225,13 +202,13 @@ def run_task(space_or_group, space: HomSpace, task: dict, out_dir: str) -> int:
     for eps in task["epsilon_grid"]:
         net = None
         if kind == "cover_curve":
-            net = greedy_net(space_or_group, eps, task["budget"],
+            net = greedy_net(space, eps, task["budget"],
                              task["probe_budget"], rng=seed)
         # seed the packing with the matched net's centers and the packing at
         # the previous (larger) epsilon: both are epsilon-separated, so the
         # chain count comparisons hold by construction
         initial = [p for r in (net, prev_pack) if r is not None for p in r.points]
-        pack = greedy_packing(space_or_group, eps, task["budget"], rng=seed,
+        pack = greedy_packing(space, eps, task["budget"], rng=seed,
                               initial=initial or None)
         prev_pack = pack
         rows.append(dict(space_id=sid, epsilon=f"{eps:.12g}",
@@ -277,18 +254,14 @@ def main(argv=None) -> int:
     try:
         if not cfg.read(args.config):
             raise ConfigError(f"cannot read config {args.config!r}")
-        space_or_group, space = parse_space(cfg)
+        space = parse_space(cfg)
         task = parse_task(cfg)
     except (ConfigError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     if args.seed is not None:
         task["seed"] = args.seed
-    try:
-        return run_task(space_or_group, space, task, args.out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    return run_task(space, task, args.out_dir)
 
 
 if __name__ == "__main__":

@@ -19,34 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product as iter_product
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    HomSpace,
-    SubgroupSpec,
-    component_basis,
-    haar_samples,
-)
-from .metrics import (
-    CosetPoint,
-    _bracket,
-    _bracket_features,
-    _closed_form_dists,
-    quotient_dist_upper,
-)
+from .groups import GroupSpec, HomSpace, component_basis, haar_samples
+from .metrics import _bracket, _bracket_features, _dists
 from .invariants import (
+    diameter_estimate,
     diameter_known,
     kappa_known,
     theta_known,
     theta_units,
 )
-
-SpaceLike = Union[GroupSpec, HomSpace]
 
 # Candidates and probes are drawn, and their distances batched, this many at
 # a time: enough to amortize the per-call overhead, few enough that a
@@ -57,6 +43,10 @@ BLOCK = 16
 # far above the rounding of the bracket and of the exact distances, far
 # below any separation a construction resolves.
 MARGIN = 1e-9
+
+# linearized_cover walks every point of its lattice cube, (2 half + 1)^dim
+# of them, one at a time; past this many it refuses instead.
+LATTICE_LIMIT = 10**6
 
 
 @dataclass
@@ -88,33 +78,6 @@ class BoundReport:
     upper_applicable: bool
 
 
-def _as_space(space: SpaceLike) -> HomSpace:
-    """A bare group is its quotient by the trivial subgroup."""
-    if isinstance(space, GroupSpec):
-        return HomSpace(space, SubgroupSpec.trivial())
-    return space
-
-
-def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the points of two broadcast-compatible stacks a
-    and b (shape (..., n, n)), as an array of their broadcast batch shape:
-    batched where the space has a closed form, otherwise an optimizer upper
-    bound per pair."""
-    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    if 0 in shape:
-        return np.zeros(shape)
-    d = _closed_form_dists(space, a, b)
-    if d is not None:
-        return d
-    g = space.group
-    a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, g.n, g.n) for x in (a, b))
-    return np.array([
-        quotient_dist_upper(CosetPoint(GroupElement(x, g), space),
-                            CosetPoint(GroupElement(y, g), space))
-        for x, y in zip(a, b)
-    ]).reshape(shape)
-
-
 def _all_farther(space, a, b, lo, hi, epsilon: float) -> np.ndarray:
     """For each point of a, whether its distance to every point of b
     exceeds epsilon, given the bracket lo <= d <= hi of each pair.  A pair
@@ -141,17 +104,17 @@ def _haar_blocks(group: GroupSpec, rng, m: int):
         yield haar_samples(group, rng, min(BLOCK, m - start))
 
 
-def dists_to_centers(space: SpaceLike, a: np.ndarray, centers) -> np.ndarray:
+def dists_to_centers(space: HomSpace, a: np.ndarray, centers) -> np.ndarray:
     """Vector of distances from one point to each center: the intrinsic
     metric on a group, the quotient metric on a homogeneous space.  Batched
     over the centers where the space has a closed form; otherwise an
     optimizer upper bound per center."""
     a = np.asarray(a)
-    return _dists(_as_space(space), a, np.asarray(centers).reshape((-1,) + a.shape))
+    return _dists(space, a, np.asarray(centers).reshape((-1,) + a.shape))
 
 
 def greedy_packing(
-    space: SpaceLike,
+    space: HomSpace,
     epsilon: float,
     sampler_budget: int = 2000,
     rng=0,
@@ -175,7 +138,6 @@ def greedy_packing(
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
-    space = _as_space(space)
     g = space.group
     rng = np.random.default_rng(rng)
     seeds = np.asarray(initial if initial is not None else np.empty((0, g.n, g.n)))
@@ -210,11 +172,10 @@ def greedy_packing(
     )
 
 
-def verify_separated(space: SpaceLike, centers, epsilon: float) -> None:
+def verify_separated(space: HomSpace, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
     epsilon; raises on any violation.  Every pair is either certified by
     its bracket (lo > epsilon + MARGIN) or measured exactly."""
-    space = _as_space(space)
     pts = np.asarray(centers)
     feats = _bracket_features(space, pts)
     for start in range(0, len(pts), BLOCK):
@@ -233,7 +194,7 @@ def verify_separated(space: SpaceLike, centers, epsilon: float) -> None:
 
 
 def greedy_net(
-    space: SpaceLike,
+    space: HomSpace,
     epsilon: float,
     sampler_budget: int = 500,
     probe_budget: int = 4000,
@@ -247,7 +208,6 @@ def greedy_net(
     might bring closer (lo < nearest + MARGIN)."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
-    space = _as_space(space)
     rng = np.random.default_rng(rng)
     probes = np.concatenate(list(_haar_blocks(space.group, rng, probe_budget)))
     feats = _bracket_features(space, probes)
@@ -288,7 +248,6 @@ def volume_bounds(d: int, R: float, epsilon: float) -> Tuple[float, float]:
 def linearized_cover(
     space: HomSpace,
     epsilon: float,
-    grid_resolution: Optional[float] = None,
     override_kappa_gate: bool = False,
 ) -> NetResult:
     """Covering centers for M built by a lattice in the complement of the
@@ -305,19 +264,20 @@ def linearized_cover(
         )
     R = diameter_known(space)
     if R is None:
-        from .invariants import diameter_estimate
-
         R = diameter_estimate(space)
     if epsilon >= R:
         return NetResult("net_Npp", epsilon, space.group.identity()[np.newaxis], 1, False)
     basis = component_basis(space, "X")
     dim = len(basis)
-    mesh = grid_resolution if grid_resolution is not None else epsilon / np.sqrt(dim)
+    mesh = epsilon / np.sqrt(dim)
     stack = np.stack(basis)
     # the coefficient vector has Euclidean norm equal to the Frobenius norm
     # of the matrix, which bounds sqrt(n) times the operator norm
     reach = np.sqrt(space.n) * R
     half = int(np.ceil(reach / mesh))
+    cube = (2 * half + 1) ** dim
+    if cube > LATTICE_LIMIT:
+        raise InvalidArgumentError(f"lattice cube of {cube} points exceeds {LATTICE_LIMIT}")
     centers = []
     for idx in iter_product(range(-half, half + 1), repeat=dim):
         c = mesh * np.array(idx, dtype=float)
@@ -339,13 +299,12 @@ def linearized_cover(
 
 
 def certify_cover(
-    space: SpaceLike, net: NetResult, probe_budget: int = 2000, rng=0
+    space: HomSpace, net: NetResult, probe_budget: int = 2000, rng=0
 ) -> float:
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it.  A probe's smallest bracket upper bound caps
     its nearest distance, so only the centers whose lower bound is within
     MARGIN of that cap are measured."""
-    space = _as_space(space)
     rng = np.random.default_rng(rng)
     centers = np.asarray(net.points)
     feats = _bracket_features(space, centers)
@@ -375,11 +334,10 @@ def theorem8_bounds(
     epsilon: float,
     c: float = 1.0 / 40,
     C: float = 9.0,
-    diam: Optional[float] = None,
-    theta: Optional[float] = None,
 ) -> BoundReport:
     """Evaluate the two-sided covering bound (c theta / eps)^d and
-    (C diam / eps)^d with the supplied constants.
+    (C diam / eps)^d with the supplied constants and the space's known
+    theta (in intrinsic units) and diameter.
 
     The default constants are engineering defaults, not values the theory
     pins down; reports always carry the constants used.  The lower bound is
@@ -387,10 +345,8 @@ def theorem8_bounds(
     (0, diam].
     """
     d = space.dim
-    if diam is None:
-        diam = diameter_known(space)
-    if theta is None:
-        theta = _theta_intrinsic(space)
+    diam = diameter_known(space)
+    theta = _theta_intrinsic(space)
     lower = upper = None
     lower_ok = upper_ok = False
     if theta is not None and 0 < epsilon <= theta / 4:
@@ -414,15 +370,6 @@ def theorem8_bounds(
     )
 
 
-def _kappa_upper(space: HomSpace) -> float:
-    k = kappa_known(space)
-    if k is not None:
-        return k
-    # the subalgebra projection is a norm-one conditional expectation for
-    # every supported subgroup, so the complement projection has norm <= 2
-    return 2.0
-
-
 def theorem11_gate(space: HomSpace, alpha: float) -> dict:
     """Structural applicability check for the dimension-gap / reducing
     subspace / full-unitary-factor covering bound.
@@ -434,14 +381,12 @@ def theorem11_gate(space: HomSpace, alpha: float) -> dict:
         raise InvalidArgumentError("alpha must be in (0, 1/2]")
     n = space.n
     sub = space.subgroup
-    theta = theta_known(space)
-    diam = diameter_known(space)
-    gate_vals = [1.0 / _kappa_upper(space)]
-    if theta is not None:
-        gate_vals.append(theta)
-    if diam is not None:
-        gate_vals.append(diam)
-    gate = min(gate_vals)
+    # the subalgebra projection is a norm-one conditional expectation for
+    # every supported subgroup, so the complement projection has norm <= 2
+    kappa = kappa_known(space)
+    known = (1.0 / (2.0 if kappa is None else kappa), theta_known(space),
+             diameter_known(space))
+    gate = min(v for v in known if v is not None)
     satisfied_gate = gate >= alpha
 
     # report the branch the subgroup structure canonically certifies:
@@ -452,11 +397,12 @@ def theorem11_gate(space: HomSpace, alpha: float) -> dict:
     witness = None
     dim_H = space.dim_H
     gap = dim_H <= (1 - alpha) * space.group.dim
-    e_dim = _reducing_subspace_dim(sub, n, alpha)
-    big = max(sub.blocks(n)) if sub.kind in ("block_diagonal", "grassmann") else 0
-    if sub.kind == "tensor_factor" and e_dim is not None:
+    e_dim = next((s for s in sub.reducing_dims(n)
+                  if alpha * n <= s <= (1 - alpha) * n), None)
+    big = sub.full_block(n)
+    if sub.reducing_first and e_dim is not None:
         branch, witness = "b", f"reducing subspace of dim {e_dim}"
-    elif big >= alpha * n and sub.kind in ("block_diagonal", "grassmann"):
+    elif big >= alpha * n:
         branch, witness = "c", f"full unitary factor on a block of dim {big}"
     elif gap:
         branch, witness = "a", f"dim H = {dim_H} <= (1-alpha) dim G"
@@ -469,25 +415,6 @@ def theorem11_gate(space: HomSpace, alpha: float) -> dict:
         "gate_value": gate,
         "alpha": alpha,
     }
-
-
-def _reducing_subspace_dim(sub, n: int, alpha: float) -> Optional[int]:
-    """Dimension of a reducing subspace with alpha n <= dim <= (1-alpha) n,
-    if the block structure provides one."""
-    if sub.kind in ("block_diagonal", "grassmann"):
-        sizes = sub.blocks(n)
-        # subset sums of blocks are exactly the reducing-subspace dims
-        sums = {0}
-        for b in sizes:
-            sums |= {s + b for s in sums}
-        good = [s for s in sorted(sums) if alpha * n <= s <= (1 - alpha) * n]
-        return good[0] if good else None
-    if sub.kind == "tensor_factor":
-        for j in range(1, sub.m):
-            s = j * sub.k
-            if alpha * n <= s <= (1 - alpha) * n:
-                return s
-    return None
 
 
 def chain_consistent(

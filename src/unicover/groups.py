@@ -1,11 +1,11 @@
 """Group and subgroup descriptors, Haar and tangent sampling, and the
 orthogonal projections onto a subalgebra and its complement.
 
-Supported subgroups of U(n) / SO(n): trivial, special (determinant one),
-block-diagonal for a given partition of n, tensor-factor (m identical k-by-k
-diagonal blocks, mk = n) and the Grassmann case (block-diagonal with two
-blocks [k, n-k]); a space built on a two-block block-diagonal subgroup holds
-it as the Grassmann case.
+A space is M = G/H, G = U(n) or SO(n); HomSpace(G) is the bare group.  Each
+kind of H is one SubgroupSpec subclass holding every fact that depends on
+the kind: trivial, special (determinant one), grassmann(k) (blocks [k, n-k],
+also built by a two-block block_diagonal), block_diagonal for a partition
+of n, and tensor_factor (m identical k-by-k diagonal blocks, mk = n).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .matcore import (
     OPERATOR,
     InvalidArgumentError,
     NormSpec,
+    _phase_dists,
     is_skew,
     opnorm,
 )
@@ -56,98 +57,333 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A closed connected subgroup, identified structurally."""
+    """A closed connected subgroup, identified structurally: one subclass
+    per kind, built by the constructor of that name.  Every kind defines
+    dim_in(group), project_H(x) (the orthogonal projection of a skew x
+    onto the subalgebra) and its CSV label; the attributes and methods
+    here are the defaults of a kind that lacks the fact in question."""
 
-    kind: str  # trivial | special | block_diagonal | tensor_factor | grassmann
-    partition: Optional[Tuple[int, ...]] = None  # block_diagonal
-    m: Optional[int] = None  # tensor_factor
-    k: Optional[int] = None  # tensor_factor / grassmann
+    k = None  # grassmann and tensor_factor only
+    kappa = None  # complement-projection norm, where the structure pins it
+    theta = None  # weaving threshold, where known, in theta_units:
+    theta_units = None  # "intrinsic" or "extrinsic"
+    traceless = False  # theta witnesses need a trace-zero logarithm
+    reducing_first = False  # theorem 11 names a reducing subspace first
 
-    def __post_init__(self):
-        kinds = ("trivial", "special", "block_diagonal", "tensor_factor", "grassmann")
-        if self.kind not in kinds:
-            raise InvalidArgumentError(f"unknown subgroup kind {self.kind!r}")
-        if self.kind == "block_diagonal":
-            if not self.partition or any(b < 1 for b in self.partition):
-                raise InvalidArgumentError("block sizes must be positive")
-            object.__setattr__(self, "partition", tuple(self.partition))
-        if self.kind == "tensor_factor" and (not self.m or not self.k):
-            raise InvalidArgumentError("tensor_factor needs m and k")
-        if self.kind == "grassmann" and not self.k:
+    @staticmethod
+    def trivial() -> "SubgroupSpec":
+        return Trivial()
+
+    @staticmethod
+    def special() -> "SubgroupSpec":
+        return Special()
+
+    @staticmethod
+    def grassmann(k: int) -> "SubgroupSpec":
+        if not k:
             raise InvalidArgumentError("grassmann needs k")
+        return Grassmann(k)
 
-    @classmethod
-    def trivial(cls):
-        return cls("trivial")
+    @staticmethod
+    def block_diagonal(partition: Sequence[int]) -> "SubgroupSpec":
+        partition = tuple(partition)
+        if not partition or any(b < 1 for b in partition):
+            raise InvalidArgumentError("block sizes must be positive")
+        if len(partition) == 2:
+            # two blocks fix a subspace and its complement: a Grassmannian
+            return Grassmann(partition[0], sum(partition))
+        return BlockDiagonal(partition)
 
-    @classmethod
-    def special(cls):
-        return cls("special")
-
-    @classmethod
-    def block_diagonal(cls, partition: Sequence[int]):
-        return cls("block_diagonal", partition=tuple(partition))
-
-    @classmethod
-    def tensor_factor(cls, m: int, k: int):
-        return cls("tensor_factor", m=m, k=k)
-
-    @classmethod
-    def grassmann(cls, k: int):
-        return cls("grassmann", k=k)
-
-    def blocks(self, n: int) -> Tuple[int, ...]:
-        """Block partition of C^n (or R^n) fixed by the subgroup, when the
-        subgroup is of block type."""
-        if self.kind == "block_diagonal":
-            return self.partition
-        if self.kind == "grassmann":
-            return (self.k, n - self.k)
-        if self.kind == "tensor_factor":
-            return (self.k,) * self.m
-        raise InvalidArgumentError(f"{self.kind} subgroup has no block structure")
+    @staticmethod
+    def tensor_factor(m: int, k: int) -> "SubgroupSpec":
+        if not m or not k:
+            raise InvalidArgumentError("tensor_factor needs m and k")
+        return TensorFactor(m, k)
 
     def validate_for(self, group: GroupSpec) -> None:
+        """Raise unless the subgroup fits inside group."""
+
+    def exact_dists(self, a: np.ndarray, b: np.ndarray, norm: NormSpec):
+        """The batched closed form of metrics._closed_form_dists, or None."""
+        return None
+
+    def bracket_rows(self, x: np.ndarray):
+        """Complex per-point matrices for metrics._bracket, or None."""
+        return None
+
+    def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
+        """The gauge of the phases between two farthest cosets, or None."""
+        return None
+
+    def witness_phases(self, group: GroupSpec, rng, search_budget: int):
+        """Diagonal phases of subgroup elements to test as theta witnesses."""
+        return ()
+
+    def reducing_dims(self, n: int) -> Sequence[int]:
+        """Ascending dimensions of the reducing subspaces it provides."""
+        return ()
+
+    def full_block(self, n: int) -> int:
+        """Size of the largest block carrying a full unitary factor."""
+        return 0
+
+
+@dataclass(frozen=True)
+class Trivial(SubgroupSpec):
+    """H = {e}: the space is the bare group."""
+
+    kind = "trivial"
+    label = ""
+    kappa = 1.0
+    theta = np.pi
+    theta_units = "intrinsic"
+
+    def dim_in(self, group: GroupSpec) -> int:
+        return 0
+
+    def project_H(self, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
+
+    exact_dists = staticmethod(_phase_dists)  # the eigenphases of a* b
+
+    def bracket_rows(self, x):
+        # complex even on SO(n), so that real and complex stacks share a width
+        return np.asarray(x, dtype=complex)
+
+    def bracket_terms(self, inner, group: GroupSpec):
         n = group.n
-        if self.kind == "block_diagonal" and sum(self.partition) != n:
-            raise InvalidArgumentError("partition must sum to n")
-        if self.kind == "tensor_factor" and self.m * self.k != n:
-            raise InvalidArgumentError("tensor dims must multiply to n")
-        if self.kind == "grassmann" and not (0 < self.k < n):
-            raise InvalidArgumentError("grassmann needs 0 < k < n")
-        if self.kind == "special" and group.kind == "SO":
+        if group.kind == "SO":
+            return (n - inner) / 4, n // 2, 2.0
+        return (n - inner) / 2, n, 2.0
+
+    def diameter(self, group, norm):
+        # -I on U(n); a rotation by pi in each 2-plane of SO(n)
+        m = group.n if group.is_complex else 2 * (group.n // 2)
+        return norm.of_singular_values(np.full(m, np.pi))
+
+
+@dataclass(frozen=True)
+class Special(SubgroupSpec):
+    """H = SU(n) inside U(n): the space is the determinant circle."""
+
+    kind = label = "special"
+    traceless = True
+
+    def validate_for(self, group):
+        if group.kind == "SO":
             raise InvalidArgumentError("SO(n) already has determinant one")
 
     def dim_in(self, group: GroupSpec) -> int:
-        """Real dimension of the subgroup (closed-form table)."""
-        self.validate_for(group)
+        return group.dim - 1
+
+    def project_H(self, x: np.ndarray) -> np.ndarray:
+        # su(n) inside u(n): remove the trace part
+        n = len(x)
+        return x - (np.trace(x) / n) * np.eye(n, dtype=x.dtype)
+
+    def exact_dists(self, a, b, norm):
+        # (phi / n)(1, ..., 1), phi the principal phase of det(a* b),
+        # spread evenly by a scalar
+        n = a.shape[-1]
+        w = np.einsum("...ji,...jl->...il", a.conj(), b)
+        phi = np.angle(np.linalg.det(w))
+        return np.abs(phi) / n * norm.of_singular_values(np.ones(n))
+
+    def diameter(self, group, norm):
+        return np.pi / group.n * norm.of_singular_values(np.ones(group.n))
+
+    def witness_phases(self, group, rng, search_budget):
+        # scalar witnesses exp(2 pi i j / n) I and random integer patterns
         n = group.n
-        if self.kind == "trivial":
-            return 0
-        if self.kind == "special":
-            return group.dim - 1
-        if self.kind == "tensor_factor":
-            return GroupSpec(group.kind, self.k).dim
-        sizes = self.blocks(n)
+        for j in range(1, n):
+            yield np.full(n, 2 * np.pi * j / n)
+        for _ in range(search_budget):
+            v = rng.integers(-2, 3, size=n)
+            if np.any(v):
+                yield 2 * np.pi * (v - np.mean(v))
+
+
+class _Blocks(SubgroupSpec):
+    """Kinds whose subgroup lies block-diagonally for self.blocks(n), by
+    default with a full unitary (orthogonal) factor on each block."""
+
+    def dim_in(self, group: GroupSpec) -> int:
         # an SO(1) block is the trivial group and contributes no dimension
         min_b = 2 if group.kind == "SO" else 1
-        return sum(GroupSpec(group.kind, b).dim for b in sizes if b >= min_b)
+        return sum(GroupSpec(group.kind, b).dim for b in self.blocks(group.n) if b >= min_b)
+
+    def project_H(self, x: np.ndarray) -> np.ndarray:
+        # zero the off-diagonal blocks
+        out = np.zeros_like(x)
+        offset = 0
+        for b in self.blocks(len(x)):
+            out[offset : offset + b, offset : offset + b] = x[offset : offset + b, offset : offset + b]
+            offset += b
+        return out
+
+    def full_block(self, n):
+        return max(self.blocks(n))
+
+    def reducing_dims(self, n):
+        # subset sums of blocks are exactly the reducing-subspace dims
+        sums = {0}
+        for b in self.blocks(n):
+            sums |= {s + b for s in sums}
+        return sorted(sums)
+
+    def witness_phases(self, group, rng, search_budget):
+        n = group.n
+        if group.is_complex:
+            # the subalgebra holds the imaginary diagonals of its torus, so
+            # any of them with a phase pinned at pi is a witness
+            pinned = np.zeros(n)
+            pinned[0] = np.pi
+            yield pinned
+            for _ in range(search_budget):
+                phases = rng.uniform(-np.pi, np.pi, size=n)
+                phases[rng.integers(0, n)] = np.pi
+                yield phases
+            return
+        # real case: the torus lives in 2x2 rotation blocks; a rotation by
+        # pi inside one subgroup block is a witness when it fits
+        sizes = self.blocks(n)
+        for offset, b in zip(np.cumsum((0,) + sizes)[:-1], sizes):
+            if b >= 2:
+                phases = np.zeros(n)
+                phases[offset] = np.pi
+                phases[offset + 1] = -np.pi
+                yield phases
+
+
+@dataclass(frozen=True)
+class Grassmann(_Blocks):
+    """H = U(k) x U(n - k) (or SO(k) x SO(n - k)), the stabilizer of a
+    k-dimensional subspace: the space is a Grassmannian."""
+
+    kind = "grassmann"
+    kappa = 1.0
+    theta = np.pi
+    theta_units = "intrinsic"
+    k: int
+    # n of the two-block partition it was built from, checked against G
+    size: Optional[int] = field(default=None, compare=False, repr=False)
+
+    def validate_for(self, group):
+        if self.size not in (None, group.n):
+            raise InvalidArgumentError("partition must sum to n")
+        if not (0 < self.k < group.n):
+            raise InvalidArgumentError("grassmann needs 0 < k < n")
+
+    @property
+    def label(self) -> str:
+        return f"grassmann({self.k})"
+
+    def blocks(self, n: int) -> Tuple[int, ...]:
+        return (self.k, n - self.k)
+
+    def exact_dists(self, a, b, norm):
+        # the min(k, n - k) largest principal angles between the k-frames,
+        # each taken twice (the complement element rotating one subspace
+        # onto the other has these singular values)
+        k, n = self.k, a.shape[-1]
+        gram = np.einsum("...ji,...jl->...il", a[..., :k].conj(), b[..., :k])
+        s = np.linalg.svd(gram, compute_uv=False)
+        # s descends, so the largest angles come from its tail; past
+        # k = n / 2 the first 2k - n cosines are one
+        angles = np.arccos(np.clip(s[..., max(0, 2 * k - n):], 0.0, 1.0))
+        return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
+
+    def bracket_rows(self, x):
+        # the projector E E* onto the span of the first k columns
+        e = np.asarray(x, dtype=complex)[..., :self.k]
+        return np.einsum("mik,mjk->mij", e, e.conj())
+
+    def bracket_terms(self, inner, group: GroupSpec):
+        return self.k - inner, min(self.k, group.n - self.k), 1.0
+
+    def diameter(self, group, norm):
+        # a frame carried onto its orthogonal complement: every angle pi/2
+        m = min(self.k, group.n - self.k)
+        return norm.of_singular_values(np.full(2 * m, np.pi / 2))
+
+
+@dataclass(frozen=True)
+class BlockDiagonal(_Blocks):
+    """H = U(b_1) x ... x U(b_r) (or the SO blocks) for a partition of n
+    into other than two blocks (two blocks are the Grassmann kind)."""
+
+    kind = "block_diagonal"
+    theta = 2.0
+    theta_units = "extrinsic"
+    partition: Tuple[int, ...]
+
+    def validate_for(self, group):
+        if sum(self.partition) != group.n:
+            raise InvalidArgumentError("partition must sum to n")
+
+    @property
+    def label(self) -> str:
+        return "block_diagonal(" + "+".join(map(str, self.partition)) + ")"
+
+    def blocks(self, n: int) -> Tuple[int, ...]:
+        return self.partition
+
+
+@dataclass(frozen=True)
+class TensorFactor(_Blocks):
+    """H = {diag(h, ..., h)}: m identical k-by-k diagonal blocks, mk = n."""
+
+    kind = "tensor_factor"
+    theta = 2.0
+    theta_units = "extrinsic"
+    reducing_first = True
+    m: int
+    k: int
+
+    def validate_for(self, group):
+        if self.m * self.k != group.n:
+            raise InvalidArgumentError("tensor dims must multiply to n")
+
+    @property
+    def label(self) -> str:
+        return f"tensor_factor({self.m}x{self.k})"
+
+    def dim_in(self, group: GroupSpec) -> int:
+        return GroupSpec(group.kind, self.k).dim
+
+    def full_block(self, n):
+        return 0  # each block holds a copy of one factor, not a full group
+
+    def blocks(self, n: int) -> Tuple[int, ...]:
+        return (self.k,) * self.m
+
+    def project_H(self, x: np.ndarray) -> np.ndarray:
+        k, m = self.k, self.m
+        blocks = [x[i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(m)]
+        avg = sum(blocks) / m
+        out = np.zeros_like(x)
+        for i in range(m):
+            out[i * k : (i + 1) * k, i * k : (i + 1) * k] = avg
+        return out
+
+    def witness_phases(self, group, rng, search_budget):
+        # on U(n) the torus of the subgroup is the diagonals that repeat
+        # with period k
+        for phases in super().witness_phases(group, rng, search_budget):
+            yield np.tile(phases[: self.k], self.m) if group.is_complex else phases
 
 
 @dataclass(frozen=True)
 class HomSpace:
-    """A homogeneous space M = G/H with a reference norm for its metric."""
+    """A homogeneous space M = G/H with a reference norm for its metric;
+    HomSpace(G) is the bare group G = G/{e}."""
 
     group: GroupSpec
-    subgroup: SubgroupSpec
+    subgroup: SubgroupSpec = Trivial()
     norm: NormSpec = OPERATOR
 
     def __post_init__(self):
         self.subgroup.validate_for(self.group)
-        sub = self.subgroup
-        if sub.kind == "block_diagonal" and len(sub.partition) == 2:
-            # two blocks fix a subspace and its complement: a Grassmannian
-            object.__setattr__(self, "subgroup", SubgroupSpec.grassmann(sub.partition[0]))
         if self.dim <= 0:
             raise InvalidArgumentError("quotient must have positive dimension")
 
@@ -279,34 +515,11 @@ def tangent_sample(space: HomSpace, component: str, radius: float, rng) -> SkewE
 
 def _project_H_mat(space: HomSpace, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection (trace inner product) of a skew x onto the
-    subalgebra, via the closed forms of the supported subgroup kinds."""
+    subalgebra, via the closed form of the subgroup's kind."""
     n = space.n
     if x.shape != (n, n):
         raise InvalidArgumentError(f"expected shape ({n}, {n}), got {x.shape}")
-    sub = space.subgroup
-    if sub.kind == "trivial":
-        return np.zeros_like(x)
-    if sub.kind == "special":
-        # su(n) inside u(n): remove the trace part
-        return x - (np.trace(x) / n) * np.eye(n, dtype=x.dtype)
-    if sub.kind == "tensor_factor":
-        k, m = sub.k, sub.m
-        blocks = [x[i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(m)]
-        avg = sum(blocks) / m
-        out = np.zeros_like(x)
-        for i in range(m):
-            out[i * k : (i + 1) * k, i * k : (i + 1) * k] = avg
-        return out
-    # block_diagonal and grassmann: zero the off-diagonal blocks
-    sizes = sub.blocks(n)
-    out = np.zeros_like(x)
-    offset = 0
-    for b in sizes:
-        out[offset : offset + b, offset : offset + b] = x[
-            offset : offset + b, offset : offset + b
-        ]
-        offset += b
-    return out
+    return space.subgroup.project_H(x)
 
 
 def project_H(space: HomSpace, x) -> SkewElement:

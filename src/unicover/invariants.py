@@ -22,7 +22,7 @@ from .groups import (
     haar_sample,
     tangent_sample,
 )
-from .metrics import CosetPoint, intrinsic_dist, quotient_dist_upper
+from .metrics import CosetPoint, quotient_dist_upper
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class InvariantReport:
 
 def kappa_known(space: HomSpace) -> Optional[float]:
     """Closed-form complement-projection norm, when the structure pins it."""
-    if space.subgroup.kind in ("trivial", "grassmann"):
-        return 1.0
-    return None
+    return space.subgroup.kappa
 
 
 def kappa_lower(space: HomSpace, samples: int = 200, rng=0) -> float:
@@ -89,23 +87,14 @@ def kappa_lower(space: HomSpace, samples: int = 200, rng=0) -> float:
 def theta_known(space: HomSpace) -> Optional[float]:
     """Closed-form weaving threshold, when known; see theta_units for the
     convention the value is quoted in."""
-    kind = space.subgroup.kind
-    if kind in ("trivial", "grassmann"):
-        return np.pi
-    if kind in ("block_diagonal", "tensor_factor"):
-        return 2.0
-    return None  # special: only the witness upper bound
+    return space.subgroup.theta
 
 
 def theta_units(space: HomSpace) -> Optional[str]:
     """Units of theta_known: the multi-block and tensor-factor value 2 is
     the extrinsic norm value at intrinsic distance pi; the rest are
     intrinsic."""
-    if theta_known(space) is None:
-        return None
-    if space.subgroup.kind in ("block_diagonal", "tensor_factor"):
-        return "extrinsic"
-    return "intrinsic"
+    return space.subgroup.theta_units
 
 
 def extrinsic_of_intrinsic(rho: float) -> float:
@@ -139,97 +128,29 @@ def theta_witness_upper(
 ) -> Optional[float]:
     """Upper bound on theta from explicit witnesses: subgroup elements u
     whose every subalgebra logarithm has operator norm >= pi, scored by the
-    intrinsic distance from u to the identity.
+    intrinsic distance from u to the identity, the largest absolute phase.
 
-    Searches maximal-torus (diagonal) directions of the subalgebra; returns
-    the best distance found, or None when no witness exists in budget.
+    Searches maximal-torus (diagonal) directions of the subalgebra, the
+    phase patterns of the subgroup's kind; returns the best distance found,
+    or None when no witness exists in budget.
     """
     sub = space.subgroup
-    n = space.n
     rng = np.random.default_rng(rng)
     best: Optional[float] = None
-
-    def consider(phases: np.ndarray, traceless: bool):
-        nonlocal best
+    for phases in sub.witness_phases(space.group, rng, search_budget):
         phases = np.mod(phases + np.pi, 2 * np.pi) - np.pi
         phases = np.where(phases <= -np.pi + 1e-12, np.pi, phases)
-        if _min_log_norm_diag(phases, traceless) < np.pi - 1e-9:
-            return  # u is reachable inside the pi-ball of the subalgebra
-        u = np.diag(np.exp(1j * phases))
-        d = intrinsic_dist(np.eye(n), u)
+        if _min_log_norm_diag(phases, sub.traceless) < np.pi - 1e-9:
+            continue  # u is reachable inside the pi-ball of the subalgebra
+        d = float(np.max(np.abs(phases)))
         if best is None or d < best:
             best = d
-
-    if sub.kind == "trivial":
-        return None
-
-    if sub.kind == "special":
-        # scalar witnesses exp(2 pi i j / n) I and random integer patterns
-        for j in range(1, n):
-            consider(np.full(n, 2 * np.pi * j / n), traceless=True)
-        for _ in range(search_budget):
-            v = rng.integers(-2, 3, size=n)
-            if not np.any(v):
-                continue
-            phases = 2 * np.pi * (v - np.mean(v))
-            consider(phases, traceless=True)
-        return best
-
-    # block-type subalgebras contain all imaginary diagonals (complex case):
-    # any diagonal with a phase pinned at pi is a witness
-    if space.group.is_complex and sub.kind in (
-        "block_diagonal",
-        "grassmann",
-        "tensor_factor",
-    ):
-        if sub.kind == "tensor_factor":
-            pattern = np.tile(
-                np.concatenate([[np.pi], np.zeros(sub.k - 1)]), sub.m
-            )
-            consider(pattern, traceless=False)
-        else:
-            phases = np.zeros(n)
-            phases[0] = np.pi
-            consider(phases, traceless=False)
-            phases2 = np.zeros(n)
-            phases2[:2] = np.pi, -np.pi
-            consider(phases2, traceless=False)
-        for _ in range(search_budget):
-            phases = rng.uniform(-np.pi, np.pi, size=n)
-            phases[rng.integers(0, n)] = np.pi
-            if sub.kind == "tensor_factor":
-                phases = np.tile(phases[: sub.k], sub.m)
-            consider(phases, traceless=False)
-        return best
-
-    # real (SO) block cases: the torus lives in 2x2 rotation blocks; a
-    # rotation by pi inside one subgroup block is a witness when it fits
-    for offset, b in zip(
-        np.cumsum((0,) + sub.blocks(n))[:-1], sub.blocks(n)
-    ):
-        if b >= 2:
-            phases = np.zeros(n)
-            phases[offset] = np.pi
-            phases[offset + 1] = -np.pi
-            consider(phases, traceless=False)
     return best
 
 
-def diameter_known(space_or_group) -> Optional[float]:
-    """Closed-form diameter, when known."""
-    if not isinstance(space_or_group, HomSpace):
-        g = space_or_group
-        if g.kind == "U" or g.n >= 3:
-            return np.pi
-        return None  # SO(2): a circle of circumference 2 pi, diameter pi too
-    sub = space_or_group.subgroup
-    if sub.kind == "trivial":
-        return diameter_known(space_or_group.group)
-    if sub.kind == "grassmann":
-        return np.pi / 2
-    if sub.kind == "special":
-        return np.pi / space_or_group.n
-    return None
+def diameter_known(space: HomSpace) -> Optional[float]:
+    """Closed-form diameter in the norm of the space, when known."""
+    return space.subgroup.diameter(space.group, space.norm)
 
 
 def diameter_estimate(

@@ -172,6 +172,15 @@ def _unitary_phases(u: np.ndarray) -> np.ndarray:
     return phases
 
 
+def _phase_dists(a: np.ndarray, b: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Intrinsic distances between the unitaries of two broadcast-compatible
+    stacks a and b: the gauge of the eigenphases of each a* b, from one
+    batched eigvals (intrinsic_dist takes them from a Schur form, so the two
+    agree to rounding)."""
+    w = np.einsum("...ji,...jl->...il", a.conj(), b)
+    return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
+
+
 def logm_unitary(u, branch_tol: float = PHASE_BRANCH_TOL) -> np.ndarray:
     """Principal logarithm of a unitary u: the unique skew x with exp(x) = u
     and operator norm < pi.

@@ -115,51 +115,34 @@ class CosetPoint:
         return quotient_dist_upper(self, other) <= tol
 
 
-def _phase_dists(a: np.ndarray, b: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """Intrinsic distances between the unitaries of two broadcast-compatible
-    stacks a and b: the gauge of the eigenphases of each a* b, from one
-    batched eigvals (intrinsic_dist takes them from a Schur form, so the two
-    agree to rounding)."""
-    w = np.einsum("...ji,...jl->...il", a.conj(), b)
-    return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
-
-
-def _closed_form_dists(
-    space: HomSpace, a: np.ndarray, b: np.ndarray
-) -> Optional[np.ndarray]:
+def _closed_form_dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """Exact quotient distances, in the norm of the space, between the
     representatives of two broadcast-compatible stacks a (shape (..., n, n))
-    and b, as an array of their broadcast batch shape: pass a[:, None] and
-    b[None] for all pairs.  None when the subgroup has no closed form
-    (tensor factors, three or more blocks).
+    and b, as an array of their broadcast batch shape (pass a[:, None] and
+    b[None] for all pairs); None where the subgroup's kind has no closed
+    form (tensor factors, three or more blocks).  Each value is the gauge
+    of the singular values of the shortest logarithm joining two cosets."""
+    return space.subgroup.exact_dists(a, b, space.norm)
 
-    Each value is the gauge of the singular values of the shortest
-    logarithm that joins the two cosets:
-    - trivial: the eigenphases of a* b;
-    - grassmann(k): the min(k, n - k) largest principal angles between the
-      k-frames, each taken twice (the complement element rotating one
-      subspace onto the other has these singular values);
-    - special: (phi / n)(1, ..., 1), phi the principal phase of det(a* b),
-      spread evenly by a scalar.
-    """
-    sub = space.subgroup
-    norm = space.norm
-    n = space.n
-    if sub.kind == "trivial":
-        return _phase_dists(a, b, norm)
-    if sub.kind == "grassmann":
-        k = sub.k
-        gram = np.einsum("...ji,...jl->...il", a[..., :k].conj(), b[..., :k])
-        s = np.linalg.svd(gram, compute_uv=False)
-        # s descends, so the largest angles come from its tail; past
-        # k = n / 2 the first 2k - n cosines are one
-        angles = np.arccos(np.clip(s[..., max(0, 2 * k - n):], 0.0, 1.0))
-        return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
-    if sub.kind == "special":
-        w = np.einsum("...ji,...jl->...il", a.conj(), b)
-        phi = np.angle(np.linalg.det(w))
-        return np.abs(phi) / n * norm.of_singular_values(np.ones(n))
-    return None
+
+def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the points of two broadcast-compatible stacks a
+    and b (shape (..., n, n)), as an array of their broadcast batch shape:
+    batched where the space has a closed form, otherwise an optimizer upper
+    bound per pair."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if 0 in shape:
+        return np.zeros(shape)
+    d = _closed_form_dists(space, a, b)
+    if d is not None:
+        return d
+    g = space.group
+    a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, g.n, g.n) for x in (a, b))
+    return np.array([
+        quotient_dist_upper(CosetPoint(GroupElement(x, g), space),
+                            CosetPoint(GroupElement(y, g), space))
+        for x, y in zip(a, b)
+    ]).reshape(shape)
 
 
 # Allowance on the bracket's sum of sin^2 terms for the rounding of its
@@ -174,16 +157,11 @@ def _bracket_features(space: HomSpace, x: np.ndarray) -> np.ndarray:
     and imaginary parts of the projector E E* onto the span of the first k
     columns (grassmann(k)) or of the matrix itself (trivial), flattened.
     Zero-width rows where the space has no bracket."""
-    sub = space.subgroup
-    if not space.norm.is_operator or sub.kind not in ("trivial", "grassmann"):
+    rows = space.subgroup.bracket_rows(x) if space.norm.is_operator else None
+    if rows is None:
         return np.zeros((len(x), 0))
-    # complex even on SO(n), so that real and complex stacks share a width
-    x = np.asarray(x, dtype=complex)
-    if sub.kind == "grassmann":
-        e = x[..., :sub.k]
-        x = np.einsum("mik,mjk->mij", e, e.conj())
     # a complex array viewed as floats interleaves real and imaginary parts
-    return np.ascontiguousarray(x).view(float).reshape(len(x), 2 * space.n ** 2)
+    return np.ascontiguousarray(rows).view(float).reshape(len(x), 2 * space.n ** 2)
 
 
 def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
@@ -193,7 +171,8 @@ def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     space has no bracket.
 
     In each case s is a sum of m nonnegative terms, the largest of which
-    is sin^2(d / w), so sin^2(d / w) lies in [s/m, s]:
+    is sin^2(d / w), so sin^2(d / w) lies in [s/m, s]; the subgroup's kind
+    gives (s, m, w) from the inner products:
     - grassmann(k): s = k - <P_a, P_b> is the sum of sin^2 over the
       principal angles (the chordal distance of Conway, Hardin and Sloane),
       m = min(k, n - k) of them nonzero, and d is the largest; w = 1.
@@ -206,15 +185,7 @@ def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     shape = (len(fa), len(fb))
     if fa.shape[1] == 0:
         return np.zeros(shape), np.full(shape, np.inf)
-    inner = fa @ fb.T
-    n = space.n
-    sub = space.subgroup
-    if sub.kind == "grassmann":
-        s, m, w = sub.k - inner, min(sub.k, n - sub.k), 1.0
-    elif space.group.kind == "SO":
-        s, m, w = (n - inner) / 4, n // 2, 2.0
-    else:
-        s, m, w = (n - inner) / 2, n, 2.0
+    s, m, w = space.subgroup.bracket_terms(fa @ fb.T, space.group)
     lo = w * np.arcsin(np.sqrt(np.clip((s - _BRACKET_SLACK) / m, 0.0, 1.0)))
     hi = w * np.arcsin(np.sqrt(np.clip(s + _BRACKET_SLACK, 0.0, 1.0)))
     return lo, hi

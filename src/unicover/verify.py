@@ -29,23 +29,12 @@ from .matcore import (
     OPERATOR,
     InvalidArgumentError,
     _adjoint,
+    _phase_dists,
     expm_skew,
     opnorm,
 )
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    HomSpace,
-    haar_samples,
-    tangent_sample,
-)
-from .metrics import (
-    CosetPoint,
-    _closed_form_dists,
-    _phase_dists,
-    intrinsic_dist,
-    quotient_dist_upper,
-)
+from .groups import GroupSpec, HomSpace, haar_samples, tangent_sample
+from .metrics import _dists, intrinsic_dist
 from .invariants import kappa_known
 
 
@@ -273,14 +262,7 @@ def check_lemma10(
     x, xp = np.reshape(x, (samples, g.n, g.n)), np.reshape(xp, (samples, g.n, g.n))
     sep = opnorm(x - xp)
     keep = np.flatnonzero(sep >= 1e-12)
-    a, b = expm_skew(x[keep]), expm_skew(xp[keep])
-    d = _closed_form_dists(space, a, b)
-    if d is None:
-        d = np.array([
-            quotient_dist_upper(CosetPoint(GroupElement(u, g), space),
-                                CosetPoint(GroupElement(v, g), space))
-            for u, v in zip(a, b)
-        ])
+    d = _dists(space, expm_skew(x[keep]), expm_skew(xp[keep]))
     dev = lam * sep[keep] - d - 1e-6  # positive only on a sound violation
     worst, witness = _worst(dev, -np.inf, x=x[keep], x_prime=xp[keep])
     violations = int(np.sum(dev > 0))

@@ -82,7 +82,7 @@ def test_criterion_03_commutator_defect():
 
 def test_criterion_04_exact_circle_coverings():
     t0 = time.time()
-    u1 = GroupSpec("U", 1)
+    u1 = HomSpace(GroupSpec("U", 1))
     counts = {}
     ok = True
     for k, eps in enumerate((np.pi, np.pi / 2, np.pi / 4, np.pi / 8)):
@@ -117,7 +117,7 @@ def test_criterion_06_dimension_exponent():
     grid = [1.2, 0.9, 0.6, 0.45]
     cases = [
         (HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1)), 2, "G(3,1)"),
-        (GroupSpec("SO", 3), 3, "SO(3)"),
+        (HomSpace(GroupSpec("SO", 3)), 3, "SO(3)"),
     ]
     ok = True
     parts = []
@@ -165,7 +165,7 @@ def test_criterion_09_covering_packing_chain():
     t0 = time.time()
     violations = 0
     cases = [
-        (GroupSpec("U", 1), [np.pi / 2, np.pi / 4, np.pi / 8]),
+        (HomSpace(GroupSpec("U", 1)), [np.pi / 2, np.pi / 4, np.pi / 8]),
         (HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1)),
          [1.2, 0.8, 0.6, 0.4]),
     ]

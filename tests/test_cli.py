@@ -1,12 +1,14 @@
 """Command-line runner tests: config parsing, output layout, exit codes and
 byte-level determinism of repeated runs."""
 
+import configparser
 import os
 from pathlib import Path
 
 import pytest
 
-from unicover.cli import CSV_COLUMNS, main
+from unicover.cli import CSV_COLUMNS, main, parse_space
+from unicover.groups import GroupSpec, HomSpace, SubgroupSpec
 
 U1_COVER = """
 [space]
@@ -136,6 +138,65 @@ epsilon_grid = 0.5 0.25
         for r in rows:
             assert r[2] == ""
             assert float(r[3]) > 0
+
+    def test_bounds_on_bare_group(self, tmp_path):
+        cfg = _write(tmp_path, """
+[space]
+group = SO
+n = 3
+subgroup = trivial
+
+[task]
+kind = bounds
+epsilon_grid = 0.5
+""")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        (row,) = (out / "bounds.csv").read_text().splitlines()[1:]
+        sid, eps, lower, upper = row.split(",")[:4]
+        assert (sid, eps) == ("SO3", "0.5")
+        assert 0 < float(lower) <= float(upper)
+
+
+# one case per subgroup kind: the [space] lines, the space the library
+# constructors build, and the invariants row (space_id, dim_M, theta, diam,
+# kappa_lb) at samples = 40, seed = 0
+KIND_CASES = {
+    "U3": ("group = U\nn = 3\nsubgroup = trivial",
+           HomSpace(GroupSpec("U", 3)),
+           ("U3", "9", "3.14159265359", "3.14159265359", "1")),
+    "SO4": ("group = SO\nn = 4\nsubgroup = trivial",
+            HomSpace(GroupSpec("SO", 4)),
+            ("SO4", "6", "3.14159265359", "3.14159265359", "1")),
+    "U3-special": ("group = U\nn = 3\nsubgroup = special",
+                   HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+                   ("U3/special", "1", "", "1.0471975512", "1")),
+    "SO3-grassmann1": ("group = SO\nn = 3\nsubgroup = grassmann\nk = 1",
+                       HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1)),
+                       ("SO3/grassmann(1)", "2", "3.14159265359", "1.57079632679", "1")),
+    "U5-block23": ("group = U\nn = 5\nsubgroup = block_diagonal\npartition = 2 3",
+                   HomSpace(GroupSpec("U", 5), SubgroupSpec.block_diagonal([2, 3])),
+                   ("U5/grassmann(2)", "12", "3.14159265359", "1.57079632679", "1")),
+    "U3-block111": ("group = U\nn = 3\nsubgroup = block_diagonal\npartition = 1 1 1",
+                    HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])),
+                    ("U3/block_diagonal(1+1+1)", "6", "2", "", "1.15309127796")),
+    "U4-tensor22": ("group = U\nn = 4\nsubgroup = tensor_factor\nm = 2\nk = 2",
+                    HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)),
+                    ("U4/tensor_factor(2x2)", "12", "2", "", "1.11792322243")),
+}
+
+
+@pytest.mark.parametrize("name", list(KIND_CASES))
+def test_kind_space_and_invariant_row(name, tmp_path):
+    lines, space, want = KIND_CASES[name]
+    text = f"[space]\n{lines}\n\n[task]\nkind = invariants\nsamples = 40\nseed = 0\n"
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg.read_string(text)
+    assert parse_space(cfg) == space
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), "--out-dir", str(out)]) == 0
+    row = dict(zip(CSV_COLUMNS, (out / "invariants.csv").read_text().splitlines()[1].split(",")))
+    assert tuple(row[c] for c in ("space_id", "dim_M", "theta", "diam", "kappa_lb")) == want
 
 
 class TestDeterminism:

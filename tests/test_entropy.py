@@ -3,11 +3,12 @@ stability, volume bounds, the linearized covering scheme and the two-sided
 bound evaluation."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from unicover import entropy
+from unicover import entropy, metrics
 from unicover.matcore import InvalidArgumentError
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_sample, haar_samples
 from unicover.entropy import (
@@ -24,7 +25,7 @@ from unicover.entropy import (
     volume_bounds,
 )
 
-U1 = GroupSpec("U", 1)
+U1 = HomSpace(GroupSpec("U", 1))
 G31_REAL = HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1))
 G42 = HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2))
 G53 = HomSpace(GroupSpec("U", 5), SubgroupSpec.grassmann(3))
@@ -64,7 +65,7 @@ class TestGreedyPacking:
             assert greedy_packing(U1, np.pi / 2, 500, rng=seed).count == 3
 
     def test_epsilon_above_diameter_gives_one(self):
-        assert greedy_packing(GroupSpec("U", 2), 3.5, 200, rng=0).count == 1
+        assert greedy_packing(HomSpace(GroupSpec("U", 2)), 3.5, 200, rng=0).count == 1
 
     def test_result_is_separated(self):
         res = greedy_packing(G31_REAL, 0.6, 300, rng=0)
@@ -74,11 +75,11 @@ class TestGreedyPacking:
         close_pair = [np.eye(2, dtype=complex),
                       np.diag(np.exp(1j * np.array([0.05, 0.05])))]
         with pytest.raises(AssertionError):
-            verify_separated(GroupSpec("U", 2), close_pair, 0.5)
+            verify_separated(HomSpace(GroupSpec("U", 2)), close_pair, 0.5)
 
     def test_seed_stability(self):
-        a = greedy_packing(GroupSpec("SO", 3), 1.0, 2000, rng=0).count
-        b = greedy_packing(GroupSpec("SO", 3), 1.0, 2000, rng=1).count
+        a = greedy_packing(HomSpace(GroupSpec("SO", 3)), 1.0, 2000, rng=0).count
+        b = greedy_packing(HomSpace(GroupSpec("SO", 3)), 1.0, 2000, rng=1).count
         assert abs(a - b) <= 0.2 * max(a, b)
 
     def test_count_nondecreasing_in_budget(self):
@@ -146,11 +147,11 @@ class TestBlockedLoops:
 
     @pytest.mark.parametrize("space, epsilon, budget", [
         (G31_REAL, 0.5, 3 * BLOCK + 5),
-        (GroupSpec("U", 2), 1.2, 3 * BLOCK + 5),
+        (HomSpace(GroupSpec("U", 2)), 1.2, 3 * BLOCK + 5),
         (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), 0.2, 3 * BLOCK + 5),
         (G42, 0.6, 6 * BLOCK + 5),
         (G53, 0.7, 6 * BLOCK + 5),
-        (GroupSpec("SO", 4), 0.8, 6 * BLOCK + 5),
+        (HomSpace(GroupSpec("SO", 4)), 0.8, 6 * BLOCK + 5),
     ], ids=["SO3-grassmann1", "U2", "U3-special", "U4-grassmann2", "U5-grassmann3", "SO4"])
     def test_packing_matches_sequential_loop(self, space, epsilon, budget):
         group = space.group if isinstance(space, HomSpace) else space
@@ -164,16 +165,16 @@ class TestBlockedLoops:
 
     def test_real_seeds_on_a_complex_group(self):
         seeds = [np.eye(3), np.diag([1.0, -1.0, -1.0])]
-        want = sequential_packing(GroupSpec("U", 3), 0.8, 40, 0, seeds)
-        got = greedy_packing(GroupSpec("U", 3), 0.8, 40, rng=0, initial=seeds)
+        want = sequential_packing(HomSpace(GroupSpec("U", 3)), 0.8, 40, 0, seeds)
+        got = greedy_packing(HomSpace(GroupSpec("U", 3)), 0.8, 40, rng=0, initial=seeds)
         assert np.array_equal(got.points, np.array(want))
 
     def test_packing_without_closed_form_adds_no_optimizer_run(self, monkeypatch):
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
         seeds = list(haar_samples(space.group, np.random.default_rng(99), 3))
         calls = []
-        real = entropy.quotient_dist_upper
-        monkeypatch.setattr(entropy, "quotient_dist_upper",
+        real = metrics.quotient_dist_upper
+        monkeypatch.setattr(metrics, "quotient_dist_upper",
                             lambda p, q: calls.append(1) or real(p, q))
         for initial in (None, seeds):
             calls.clear()
@@ -188,7 +189,7 @@ class TestBlockedLoops:
 
     @pytest.mark.parametrize("size", [2 * BLOCK + 1, 2 * BLOCK + 6])
     def test_verify_separated_finds_a_last_pair_violation(self, size):
-        g = GroupSpec("U", 2)
+        g = HomSpace(GroupSpec("U", 2))
         pack = greedy_packing(g, 0.5, 400, rng=0).points[:size - 1]
         near = pack[-1] @ np.diag(np.exp(1j * np.array([0.01, -0.01])))
         pts = np.concatenate([pack, near[np.newaxis]])
@@ -201,7 +202,7 @@ class TestBlockedLoops:
 
     def test_net_matches_farthest_point_loop(self):
         for space, epsilon in [(G31_REAL, 0.4), (G42, 0.6), (G53, 0.7),
-                               (GroupSpec("SO", 4), 0.8)]:
+                               (HomSpace(GroupSpec("SO", 4)), 0.8)]:
             group = space.group if isinstance(space, HomSpace) else space
             rng = np.random.default_rng(3)
             probes = np.array([haar_sample(group, rng).matrix for _ in range(300)])
@@ -218,7 +219,7 @@ class TestBlockedLoops:
             assert net.probe_max_dist == np.max(nearest)
 
     def test_certify_cover_matches_per_probe_loop(self):
-        so4 = GroupSpec("SO", 4)
+        so4 = HomSpace(GroupSpec("SO", 4))
         for space, net in [(G31_REAL, linearized_cover(G31_REAL, 0.8)),
                            (G42, greedy_net(G42, 0.7, 200, 200, rng=1)),
                            (so4, greedy_net(so4, 0.9, 200, 200, rng=1))]:
@@ -230,7 +231,7 @@ class TestBlockedLoops:
                 worst = max(worst, float(np.min(dists_to_centers(space, p, net.points))))
             assert certify_cover(space, net, probe_budget=500, rng=0) == worst
 
-    @pytest.mark.parametrize("space", [G42, GroupSpec("SO", 3), GroupSpec("U", 3)],
+    @pytest.mark.parametrize("space", [G42, HomSpace(GroupSpec("SO", 3)), HomSpace(GroupSpec("U", 3))],
                              ids=["U4-grassmann2", "SO3", "U3"])
     def test_verify_separated_at_epsilon(self, space):
         # a pair exactly epsilon apart is not separated; one at
@@ -247,14 +248,14 @@ class TestBlockedLoops:
         # a bracket that were silently bypassed would send every pair to
         # the exact path; the results must not depend on it
         pairs = []
-        real = entropy._closed_form_dists
+        real = metrics._closed_form_dists
 
         def counted(space, a, b):
             d = real(space, a, b)
             pairs.append(d.size)
             return d
 
-        monkeypatch.setattr(entropy, "_closed_form_dists", counted)
+        monkeypatch.setattr(metrics, "_closed_form_dists", counted)
         runs = {}
         for bracketed in (True, False):
             if not bracketed:
@@ -335,6 +336,13 @@ class TestLinearizedCover:
         with pytest.raises(InvalidArgumentError):
             linearized_cover(G31_REAL, -1.0)
 
+    def test_refuses_oversized_lattice(self):
+        # 41^8 lattice points on U(4)/G(4,2) at epsilon = 0.45
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="lattice cube"):
+            linearized_cover(G42, 0.45)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestTheorem8Bounds:
     def test_grassmann_values_plugged(self):
@@ -397,7 +405,7 @@ class TestPointDist:
         g = GroupSpec("U", 3)
         a = haar_sample(g, rng).matrix
         b = haar_sample(g, rng).matrix
-        assert dists_to_centers(g, a, [b])[0] == pytest.approx(intrinsic_dist(a, b))
+        assert dists_to_centers(HomSpace(g), a, [b])[0] == pytest.approx(intrinsic_dist(a, b))
 
     def test_grassmann_path_is_principal_angle(self, rng):
         from unicover.groups import haar_sample

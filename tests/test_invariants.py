@@ -4,8 +4,8 @@ witnesses and diameters, against the closed-form table and sampled bounds."""
 import numpy as np
 import pytest
 
-from unicover.matcore import InvalidArgumentError
-from unicover.groups import GroupSpec, HomSpace, SubgroupSpec
+from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec
+from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_samples
 from unicover.invariants import (
     diameter_estimate,
     diameter_known,
@@ -134,13 +134,43 @@ class TestTheta:
         assert theta_witness_upper(space) is None
 
 
+# each space with the coset farthest from the identity's: -I; a rotation
+# by pi in each 2-plane; a 2-frame carried onto its orthogonal complement;
+# exp(i pi / n) I
+SWAP = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+ANTIPODES = {
+    "U3": (HomSpace(GroupSpec("U", 3)), -np.eye(3, dtype=complex)),
+    "SO3": (HomSpace(GroupSpec("SO", 3)), np.diag([-1.0, -1.0, 1.0])),
+    "SO4": (HomSpace(GroupSpec("SO", 4)), -np.eye(4)),
+    "U4-grassmann2": (_grassmann("U", 4, 2), SWAP.astype(complex)),
+    "SO4-grassmann2": (_grassmann("SO", 4, 2), SWAP),
+    "U3-special": (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+                   np.exp(1j * np.pi / 3) * np.eye(3)),
+}
+
+
 class TestDiameter:
     def test_known_table(self):
-        assert diameter_known(GroupSpec("U", 2)) == pytest.approx(np.pi)
-        assert diameter_known(GroupSpec("SO", 3)) == pytest.approx(np.pi)
+        assert diameter_known(HomSpace(GroupSpec("U", 2))) == pytest.approx(np.pi)
+        assert diameter_known(HomSpace(GroupSpec("SO", 3))) == pytest.approx(np.pi)
         assert diameter_known(_grassmann("U", 4, 2)) == pytest.approx(np.pi / 2)
         circle = HomSpace(GroupSpec("U", 3), SubgroupSpec.special())
         assert diameter_known(circle) == pytest.approx(np.pi / 3)
+
+    @pytest.mark.parametrize("norm", [NormSpec.schatten(1), FROBENIUS, NormSpec.schatten(np.inf)],
+                             ids=["schatten1", "schatten2", "schatten_inf"])
+    @pytest.mark.parametrize("case", list(ANTIPODES))
+    def test_known_is_antipodal_distance_in_every_norm(self, case, norm):
+        from unicover.metrics import _closed_form_dists
+
+        space, antipode = ANTIPODES[case]
+        space = HomSpace(space.group, space.subgroup, norm)
+        diam = diameter_known(space)
+        far = _closed_form_dists(space, space.group.identity(), antipode)
+        assert far == pytest.approx(diam, rel=1e-12)
+        rng = np.random.default_rng(4)
+        a, b = (haar_samples(space.group, rng, 200) for _ in range(2))
+        assert np.max(_closed_form_dists(space, a, b)) <= diam + 1e-12
 
     def test_estimate_approaches_known_on_grassmann(self):
         space = _grassmann("U", 3, 1)

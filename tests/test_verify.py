@@ -11,6 +11,7 @@ from unicover.matcore import (
     FROBENIUS,
     OPERATOR,
     InvalidArgumentError,
+    _phase_dists,
     expm_skew,
     opnorm,
     schatten_norm,
@@ -27,7 +28,6 @@ from unicover.groups import (
 from unicover.metrics import (
     CosetPoint,
     Curve,
-    _phase_dists,
     curve_length,
     extrinsic_dist,
     quotient_dist_upper,

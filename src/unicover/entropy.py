@@ -254,10 +254,14 @@ def linearized_cover(
     subalgebra, pushed through exp and the quotient map (a contraction).
 
     Requires a space with known complement-projection norm equal to one
-    (the surjectivity of the scheme depends on it) unless overridden.
+    (the surjectivity of the scheme depends on it) unless overridden, and
+    the operator norm: the lattice ball, its reach and its mesh are all
+    measured in it.
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
+    if not space.norm.is_operator:
+        raise InvalidArgumentError("linearized cover needs the operator norm")
     if kappa_known(space) != 1.0 and not override_kappa_gate:
         raise InvalidArgumentError(
             "linearized cover needs kappa = 1 (or an explicit override)"

@@ -367,10 +367,12 @@ class TensorFactor(_Blocks):
         return out
 
     def witness_phases(self, group, rng, search_budget):
-        # on U(n) the torus of the subgroup is the diagonals that repeat
-        # with period k
+        # the torus of the subgroup is the diagonals that repeat with period
+        # k, so the first block's pattern is tiled across all m blocks
         for phases in super().witness_phases(group, rng, search_budget):
-            yield np.tile(phases[: self.k], self.m) if group.is_complex else phases
+            yield np.tile(phases[: self.k], self.m)
+            if not group.is_complex:
+                return  # the later SO(n) rotations lie outside the first block
 
 
 @dataclass(frozen=True)
@@ -432,6 +434,8 @@ class GroupElement:
         n = self.group.n
         if a.shape != (n, n):
             raise InvalidArgumentError(f"expected shape ({n}, {n}), got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InvalidArgumentError("matrix has non-finite entries")
         if opnorm(a.conj().T @ a - np.eye(n)) > 1e-10:
             raise InvalidArgumentError("matrix is not unitary within tolerance")
         if self.group.kind == "SO":

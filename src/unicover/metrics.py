@@ -6,6 +6,11 @@ group, to the gauge of the eigenphase vector of u*v (principal branch).  On a
 quotient the distance is exact, in every such norm, where a closed form
 exists (trivial subgroup, Grassmann, the determinant circle of U(n)/SU(n));
 elsewhere only an upper bound is certified, by local search over the fibre.
+
+The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
+2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
+np.linalg.eigvals wrap the same routines, so the values are theirs bit for
+bit, without their per-call checks.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo, eigvals
 from scipy.optimize import minimize
 
 from .matcore import (
@@ -222,20 +228,21 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
     v = _mat(q.representative)
     basis = component_basis(space, "H")
     dim = len(basis)
-    stack = np.stack(basis)
+    n = space.n
+    # -i h is Hermitian for each skew basis element h, so c @ hflat is the
+    # Hermitian matrix whose eigenphases exponentiate sum_j c_j h_j
+    hflat = (-1j * np.stack(basis).astype(complex)).reshape(dim, n * n)
     rng = np.random.default_rng(rng)
-
-    vc = v
     uh = u.conj().T
 
     def phases_at(c):
-        # lean path: the combination of basis elements is skew by
-        # construction, so exponentiate via eigh without re-validation
-        hm = np.tensordot(c, stack, axes=(0, 0))
-        w_, v_ = np.linalg.eigh(-1j * hm.astype(complex))
+        # the gufuncs behind np.linalg.eigh and eigvals, without their
+        # per-call checks: u and v are validated GroupElements and c is
+        # Powell's finite iterate; a LAPACK failure sets the invalid flag,
+        # which the errstate below turns into an error
+        w_, v_ = eigh_lo((c @ hflat).reshape(n, n))
         eh = (v_ * np.exp(1j * w_)) @ v_.conj().T
-        w = uh @ (vc @ eh)
-        return np.abs(np.angle(np.linalg.eigvals(w)))
+        return np.abs(np.angle(eigvals(uh @ (v @ eh))))
 
     def f(c):
         return norm.of_singular_values(phases_at(c))
@@ -259,27 +266,28 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
     while len(starts) < max(2, restarts):
         starts.append(rng.normal(scale=1.0, size=dim))
 
-    ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
-    best = intrinsic_dist(u, v, norm)
-    surrogate = f_smooth if norm.is_operator else f
-    for c0 in ranked:
-        f0 = float(f(c0))
-        if f0 > best + 0.25:
-            continue  # cannot plausibly beat the incumbent
-        res = minimize(
-            surrogate,
-            c0,
-            method="Powell",
-            options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-9},
-        )
-        best = min(best, f0, float(f(res.x)))
-        res2 = minimize(
-            f,
-            res.x,
-            method="Powell",
-            options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-10},
-        )
-        best = min(best, float(res2.fun))
-        if best <= 1e-9:
-            break
+    with np.errstate(invalid="raise"):
+        ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
+        best = intrinsic_dist(u, v, norm)
+        surrogate = f_smooth if norm.is_operator else f
+        for c0 in ranked:
+            f0 = float(f(c0))
+            if f0 > best + 0.25:
+                continue  # cannot plausibly beat the incumbent
+            res = minimize(
+                surrogate,
+                c0,
+                method="Powell",
+                options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-9},
+            )
+            best = min(best, f0, float(f(res.x)))
+            res2 = minimize(
+                f,
+                res.x,
+                method="Powell",
+                options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-10},
+            )
+            best = min(best, float(res2.fun))
+            if best <= 1e-9:
+                break
     return best

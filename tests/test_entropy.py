@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from unicover import entropy, metrics
-from unicover.matcore import InvalidArgumentError
+from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_sample, haar_samples
 from unicover.entropy import (
     BLOCK,
@@ -335,6 +335,17 @@ class TestLinearizedCover:
     def test_invalid_epsilon(self):
         with pytest.raises(InvalidArgumentError):
             linearized_cover(G31_REAL, -1.0)
+
+    @pytest.mark.parametrize("norm", [FROBENIUS, NormSpec.schatten(1)])
+    def test_refuses_non_operator_norm(self, norm):
+        # the lattice ball, its reach and its mesh are operator-norm
+        # quantities, so in another norm its centres certify nothing
+        space = HomSpace(G31_REAL.group, G31_REAL.subgroup, norm)
+        with pytest.raises(InvalidArgumentError, match="operator norm"):
+            linearized_cover(space, 0.8)
+        # schatten(inf) is the operator norm
+        inf = HomSpace(G31_REAL.group, G31_REAL.subgroup, NormSpec.schatten(np.inf))
+        assert linearized_cover(inf, 0.8).count == linearized_cover(G31_REAL, 0.8).count
 
     def test_refuses_oversized_lattice(self):
         # 41^8 lattice points on U(4)/G(4,2) at epsilon = 0.45

@@ -267,6 +267,44 @@ class TestElements:
         with pytest.raises(InvalidArgumentError):
             GroupElement(refl, so)
 
+    @pytest.mark.parametrize("kind", ["U", "SO"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_group_element_rejects_non_finite(self, kind, bad, rng):
+        # caught at construction, not as a LinAlgError from the SVD of the
+        # unitarity check
+        g = GroupSpec(kind, 3)
+        a = haar_sample(g, rng).matrix.copy()
+        a[1, 2] = bad
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            GroupElement(a, g)
+
     def test_skew_element_validation(self, rng):
         with pytest.raises(InvalidArgumentError):
             SkewElement(np.eye(2))
+
+
+def _torus_element(group, phases):
+    """The diagonal skew matrix of a witness phase pattern: i diag(phases)
+    on U(n); on SO(n), a rotation generator by phases[j] in the plane
+    (j, j + 1) for each pair (phases[j], phases[j + 1] = -phases[j])."""
+    if group.is_complex:
+        return np.diag(1j * phases)
+    x = np.zeros((group.n, group.n))
+    j = 0
+    while j < group.n:
+        if phases[j] != 0:
+            assert phases[j + 1] == -phases[j]
+            x[j + 1, j], x[j, j + 1] = phases[j], -phases[j]
+            j += 1
+        j += 1
+    return x
+
+
+@pytest.mark.parametrize("kind, m, k", [("SO", 2, 2), ("SO", 2, 3), ("U", 2, 2)])
+def test_tensor_witness_patterns_lie_in_subalgebra(kind, m, k):
+    space = HomSpace(GroupSpec(kind, m * k), SubgroupSpec.tensor_factor(m, k))
+    patterns = list(space.subgroup.witness_phases(space.group, np.random.default_rng(0), 20))
+    assert patterns
+    for phases in patterns:
+        x = _torus_element(space.group, phases)
+        assert np.array_equal(project_H(space, x).matrix, x)

@@ -4,13 +4,16 @@ its closed forms."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from unicover.matcore import (
     FROBENIUS,
     OPERATOR,
+    BranchAmbiguityError,
     InvalidArgumentError,
     NormSpec,
     expm_skew,
+    logm_unitary,
     opnorm,
 )
 from unicover.groups import (
@@ -18,6 +21,8 @@ from unicover.groups import (
     GroupSpec,
     HomSpace,
     SubgroupSpec,
+    _project_H_mat,
+    component_basis,
     haar_sample,
     haar_samples,
     tangent_sample,
@@ -36,6 +41,7 @@ from unicover.metrics import (
     _closed_form_dists,
     _optimize_coset_dist,
 )
+from unicover import metrics
 from unicover.entropy import dists_to_centers
 
 from conftest import random_skew
@@ -289,6 +295,96 @@ class TestClosedFormsMatchOptimizer:
                     SubgroupSpec.block_diagonal([2, 1, 1])):
             space = HomSpace(GroupSpec("U", 4), sub)
             assert _closed_form_dists(space, u, u) is None
+
+
+def _reference_optimize(p, q, restarts=8, max_iter=200, rng=0):
+    """The coset search as first written: the objective combines the basis
+    with np.tensordot and calls the public np.linalg.eigh and eigvals, with
+    their per-call checks.  _optimize_coset_dist must return its bits."""
+    space, norm = p.space, p.space.norm
+    u, v = p.representative.matrix, q.representative.matrix
+    basis = component_basis(space, "H")
+    dim = len(basis)
+    stack = np.stack(basis)
+    rng = np.random.default_rng(rng)
+    uh = u.conj().T
+
+    def phases_at(c):
+        hm = np.tensordot(c, stack, axes=(0, 0))
+        w_, v_ = np.linalg.eigh(-1j * hm.astype(complex))
+        eh = (v_ * np.exp(1j * w_)) @ v_.conj().T
+        return np.abs(np.angle(np.linalg.eigvals(uh @ (v @ eh))))
+
+    def f(c):
+        return norm.of_singular_values(phases_at(c))
+
+    def f_smooth(c):
+        return float(np.sum(phases_at(c) ** 8) ** (1.0 / 8))
+
+    starts = [np.zeros(dim)]
+    try:
+        h = -_project_H_mat(space, logm_unitary(uh @ v))
+        starts.append(np.array([np.real(np.vdot(b, h)) for b in basis]))
+    except BranchAmbiguityError:
+        pass
+    while len(starts) < max(2, restarts):
+        starts.append(rng.normal(scale=1.0, size=dim))
+    ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
+    best = intrinsic_dist(u, v, norm)
+    surrogate = f_smooth if norm.is_operator else f
+    for c0 in ranked:
+        f0 = float(f(c0))
+        if f0 > best + 0.25:
+            continue
+        res = minimize(surrogate, c0, method="Powell",
+                       options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-9})
+        best = min(best, f0, float(f(res.x)))
+        res2 = minimize(f, res.x, method="Powell",
+                        options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-10})
+        best = min(best, float(res2.fun))
+        if best <= 1e-9:
+            break
+    return best
+
+
+NO_CLOSED_FORM_SPACES = [
+    HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)),
+    HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])),
+    HomSpace(GroupSpec("SO", 5), SubgroupSpec.block_diagonal([2, 2, 1])),
+    HomSpace(GroupSpec("U", 4), SubgroupSpec.block_diagonal([2, 1, 1])),
+]
+
+
+class TestLeanObjective:
+    """The search calls numpy's LAPACK gufuncs directly; its values are
+    those of the public wrappers bit for bit."""
+
+    @pytest.mark.parametrize("norm_id", ["schatten_inf", "schatten_1", "max_plus_half_sum"])
+    @pytest.mark.parametrize("space", NO_CLOSED_FORM_SPACES, ids=_space_id)
+    def test_bit_identical_to_public_wrappers(self, space, norm_id, monkeypatch):
+        space = HomSpace(space.group, space.subgroup, NORMS[norm_id])
+        rng = np.random.default_rng(21)
+        u, v = haar_samples(space.group, rng, 2)
+        # a pair in one coset: the search stops at its first start
+        w = u @ expm_skew(tangent_sample(space, "H", 1.0, rng).matrix)
+        for a, b in [(u, v), (v, u), (u, w)]:
+            p, q = _coset(space, a), _coset(space, b)
+            assert _optimize_coset_dist(p, q, 8, 200, 0) == _reference_optimize(p, q)
+        runs = []
+        monkeypatch.setattr(metrics, "minimize", lambda *a, **k: runs.append(1) or minimize(*a, **k))
+        assert _optimize_coset_dist(_coset(space, u), _coset(space, w), 8, 200, 0) <= 1e-9
+        assert len(runs) == 2
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        # a non-converged LAPACK call returns NaN and sets the invalid flag
+        def failed_eigvals(a):
+            return np.full(len(a), np.inf) - np.inf
+
+        monkeypatch.setattr(metrics, "eigvals", failed_eigvals)
+        space = NO_CLOSED_FORM_SPACES[1]
+        u, v = haar_samples(space.group, np.random.default_rng(22), 2)
+        with pytest.raises(FloatingPointError):
+            quotient_dist_upper(_coset(space, u), _coset(space, v))
 
 
 TRIVIAL = SubgroupSpec.trivial()

@@ -13,6 +13,10 @@ question, by MARGIN; only the remaining pairs reach the exact distance.
 Every decision near epsilon and every reported value is an exact
 distance, so the results are those of the exhaustive loops.  On spaces
 with no bracket every pair is measured.
+
+Each public entry point checks the points a caller passes once, with
+GroupElement's rule (finite, unitary, and on SO(n) real with determinant
+one), and raises InvalidArgumentError; the loops take plain arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import GroupSpec, HomSpace, component_basis, haar_samples
+from .groups import GroupSpec, HomSpace, _elements, component_basis, haar_samples
 from .metrics import _bracket, _bracket_features, _dists
 from .invariants import (
     diameter_estimate,
@@ -43,6 +47,9 @@ BLOCK = 16
 # far above the rounding of the bracket and of the exact distances, far
 # below any separation a construction resolves.
 MARGIN = 1e-9
+
+# greedy_net covers every probe within epsilon * (1 + NET_SLACK).
+NET_SLACK = 0.01
 
 # linearized_cover walks every point of its lattice cube, (2 half + 1)^dim
 # of them, one at a time; past this many it refuses instead.
@@ -105,12 +112,12 @@ def _haar_blocks(group: GroupSpec, rng, m: int):
 
 
 def dists_to_centers(space: HomSpace, a: np.ndarray, centers) -> np.ndarray:
-    """Vector of distances from one point to each center: the intrinsic
-    metric on a group, the quotient metric on a homogeneous space.  Batched
-    over the centers where the space has a closed form; otherwise an
-    optimizer upper bound per center."""
-    a = np.asarray(a)
-    return _dists(space, a, np.asarray(centers).reshape((-1,) + a.shape))
+    """Vector of distances from one point to each center (a stack of shape
+    (m, n, n)): the intrinsic metric on a group, the quotient metric on a
+    homogeneous space.  Batched over the centers where the space has a
+    closed form; otherwise an optimizer upper bound per center."""
+    g = space.group
+    return _dists(space, _elements(g, a, stack=False), _elements(g, centers))
 
 
 def greedy_packing(
@@ -140,7 +147,7 @@ def greedy_packing(
         raise InvalidArgumentError("epsilon must be positive")
     g = space.group
     rng = np.random.default_rng(rng)
-    seeds = np.asarray(initial if initial is not None else np.empty((0, g.n, g.n)))
+    seeds = _elements(g, () if initial is None else initial)
     blocks = chain(
         (seeds[i:i + BLOCK] for i in range(0, len(seeds), BLOCK)),
         _haar_blocks(g, rng, sampler_budget),
@@ -176,7 +183,7 @@ def verify_separated(space: HomSpace, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
     epsilon; raises on any violation.  Every pair is either certified by
     its bracket (lo > epsilon + MARGIN) or measured exactly."""
-    pts = np.asarray(centers)
+    pts = _elements(space.group, centers)
     feats = _bracket_features(space, pts)
     for start in range(0, len(pts), BLOCK):
         stop = min(start + BLOCK, len(pts))
@@ -199,11 +206,10 @@ def greedy_net(
     sampler_budget: int = 500,
     probe_budget: int = 4000,
     rng=0,
-    slack: float = 0.01,
 ) -> NetResult:
     """Empirically certified net with centers in the space: farthest-point
     insertion over a Haar probe cloud until every probe lies within
-    epsilon * (1 + slack) of a center, or the center budget runs out.  A
+    epsilon * (1 + NET_SLACK) of a center, or the center budget runs out.  A
     new center is measured exactly only against the probes its bracket
     might bring closer (lo < nearest + MARGIN)."""
     if epsilon <= 0:
@@ -220,7 +226,7 @@ def greedy_net(
         near = np.flatnonzero(lo[0] < nearest + MARGIN)
         nearest[near] = np.minimum(nearest[near], _dists(space, probes[c], probes[near]))
         worst = int(np.argmax(nearest))
-        if nearest[worst] <= epsilon * (1.0 + slack):
+        if nearest[worst] <= epsilon * (1.0 + NET_SLACK):
             break
         if len(chosen) >= sampler_budget:
             exhausted = True
@@ -308,16 +314,18 @@ def certify_cover(
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it.  A probe's smallest bracket upper bound caps
     its nearest distance, so only the centers whose lower bound is within
-    MARGIN of that cap are measured."""
+    MARGIN of that cap are measured.  Each pair is measured from the center,
+    as greedy_net measures it, so a net certified on its own probe stream
+    gives back its probe_max_dist."""
     rng = np.random.default_rng(rng)
-    centers = np.asarray(net.points)
+    centers = _elements(space.group, net.points)
     feats = _bracket_features(space, centers)
     worst = 0.0
     for block in _haar_blocks(space.group, rng, probe_budget):
         lo, hi = _bracket(space, _bracket_features(space, block), feats)
         rows, cols = np.nonzero(lo <= np.min(hi, axis=1, keepdims=True) + MARGIN)
         nearest = np.full(len(block), np.inf)
-        np.minimum.at(nearest, rows, _dists(space, block[rows], centers[cols]))
+        np.minimum.at(nearest, rows, _dists(space, centers[cols], block[rows]))
         worst = max(worst, float(np.max(nearest)))
     net.probe_count = probe_budget
     net.probe_max_dist = worst

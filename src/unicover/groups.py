@@ -17,8 +17,10 @@ import numpy as np
 
 from .matcore import (
     OPERATOR,
+    TOL_ALG,
     InvalidArgumentError,
     NormSpec,
+    _adjoint,
     _phase_dists,
     is_skew,
     opnorm,
@@ -104,7 +106,7 @@ class SubgroupSpec:
         """Raise unless the subgroup fits inside group."""
 
     def exact_dists(self, a: np.ndarray, b: np.ndarray, norm: NormSpec):
-        """The batched closed form of metrics._closed_form_dists, or None."""
+        """The batched closed form metrics._dists takes, or None."""
         return None
 
     def bracket_rows(self, x: np.ndarray):
@@ -422,29 +424,46 @@ class SkewElement:
         return self.matrix.shape[0]
 
 
+def _elements(group: GroupSpec, x, stack: bool = True) -> np.ndarray:
+    """x as a stack of elements of group, shape (m, n, n), or without stack
+    one (n, n) matrix.  Raises InvalidArgumentError unless every matrix is
+    finite and unitary within TOL_ALG in the operator norm and, on SO(n),
+    real (a complex array gives its real part) with determinant one."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged sequence of matrices
+        raise InvalidArgumentError(f"matrices of different shapes: {exc}") from exc
+    n = group.n
+    if stack and a.size == 0:
+        a = a.reshape(0, n, n)
+    if a.ndim != (3 if stack else 2) or a.shape[-2:] != (n, n):
+        raise InvalidArgumentError(f"expected {'m ' if stack else ''}({n}, {n}) matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidArgumentError("matrix has non-finite entries")
+    defect = _adjoint(a) @ a - np.eye(n)
+    # the Frobenius norm bounds the operator norm, so only the matrices it
+    # does not clear need an SVD
+    loose = np.linalg.norm(defect, axis=(-2, -1)) > TOL_ALG
+    if np.any(loose) and np.any(opnorm(defect[loose]) > TOL_ALG):
+        raise InvalidArgumentError("matrix is not unitary within tolerance")
+    if group.kind == "SO":
+        if np.iscomplexobj(a) and np.any(opnorm(a.imag) > TOL_ALG):
+            raise InvalidArgumentError("SO element must be real")
+        a = a.real
+        if np.any(np.abs(np.linalg.det(a) - 1.0) > 1e-8):
+            raise InvalidArgumentError("SO element must have determinant one")
+    return a
+
+
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of U(n) or SO(n); unitarity checked on construction."""
+    """An element of U(n) or SO(n); checked on construction (_elements)."""
 
     matrix: np.ndarray = field(compare=False)
     group: GroupSpec
 
     def __post_init__(self):
-        a = np.asarray(self.matrix)
-        n = self.group.n
-        if a.shape != (n, n):
-            raise InvalidArgumentError(f"expected shape ({n}, {n}), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidArgumentError("matrix has non-finite entries")
-        if opnorm(a.conj().T @ a - np.eye(n)) > 1e-10:
-            raise InvalidArgumentError("matrix is not unitary within tolerance")
-        if self.group.kind == "SO":
-            if np.iscomplexobj(a) and opnorm(a.imag) > 1e-10:
-                raise InvalidArgumentError("SO element must be real")
-            a = a.real if np.iscomplexobj(a) else a
-            if abs(np.linalg.det(a) - 1.0) > 1e-8:
-                raise InvalidArgumentError("SO element must have determinant one")
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", _elements(self.group, self.matrix, stack=False))
 
 
 def _mat(x) -> np.ndarray:
@@ -473,11 +492,7 @@ def haar_samples(group: GroupSpec, rng, m: int) -> np.ndarray:
         q, r = np.linalg.qr(rng.standard_normal((m, n, n)))
         q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, np.newaxis, :]
         q[np.linalg.det(q) < 0, :, 0] *= -1
-    # the Frobenius norm bounds the operator norm GroupElement checks
-    defect = np.linalg.norm(np.swapaxes(q.conj(), 1, 2) @ q - np.eye(n), axis=(1, 2))
-    if np.any(defect > 1e-10):
-        raise InvalidArgumentError("matrix is not unitary within tolerance")
-    return q
+    return _elements(group, q)
 
 
 def haar_sample(group: GroupSpec, rng) -> GroupElement:

@@ -1,9 +1,10 @@
 """Dense matrix kernels: unitarily invariant norms, exp/log on the unitary
 group, eigenphases and principal angles.
 
-Everything here is a pure function on numpy arrays.  The single decomposition
-primitive is the complex Hermitian eigendecomposition; the real case is
-handled by embedding into the complex case and taking real parts at the end.
+Everything here is a pure function on numpy arrays.  Eigenphases come from
+batched eigvals, the exponential from the complex Hermitian eigendecomposition
+(real input taken through the complex case), norms and principal angles from
+singular values; only logm_unitary, which needs eigenvectors, uses a Schur form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# Default tolerance of algebraic identities.  Overridable per call.
+# Tolerance of algebraic identities: unitarity, orthonormal frames.
 TOL_ALG = 1e-10
 
 SKEW_TOL = 1e-12
@@ -128,7 +129,7 @@ def is_skew(x, tol: float = SKEW_TOL) -> bool:
     return bool(np.all(np.max(np.abs(a + _adjoint(a)), axis=axes) <= tol * scale))
 
 
-def expm_skew(x, tol: float = SKEW_TOL) -> np.ndarray:
+def expm_skew(x) -> np.ndarray:
     """Matrix exponential of a skew-Hermitian (or real skew-symmetric) x,
     or of each matrix of a stack of shape (..., n, n).
 
@@ -138,7 +139,7 @@ def expm_skew(x, tol: float = SKEW_TOL) -> np.ndarray:
     and each of its matrices gives the same bits as its own call.
     """
     a = _as_square(x, stack=True)
-    if not is_skew(a, tol):
+    if not is_skew(a):
         raise InvalidArgumentError("matrix is not skew-Hermitian within tolerance")
     real_input = not np.iscomplexobj(a)
     h = -1j * a.astype(complex)  # Hermitian
@@ -149,44 +150,33 @@ def expm_skew(x, tol: float = SKEW_TOL) -> np.ndarray:
     return u
 
 
-def eigenphases(u, tol: float = TOL_ALG) -> np.ndarray:
+def eigenphases(u) -> np.ndarray:
     """Phases of the spectrum of a unitary u, each in (-pi, pi], sorted by
     decreasing absolute value.  Ties at phase pi resolve to +pi."""
     a = _as_square(u)
-    if opnorm(a.conj().T @ a - np.eye(a.shape[0])) > max(tol, 1e-10):
+    if opnorm(a.conj().T @ a - np.eye(a.shape[0])) > TOL_ALG:
         raise InvalidArgumentError("matrix is not unitary within tolerance")
-    phases = _unitary_phases(a)
-    order = np.argsort(-np.abs(phases), kind="stable")
-    return phases[order]
-
-
-def _unitary_phases(u: np.ndarray) -> np.ndarray:
-    """Unsorted eigenphases in (-pi, pi] via a complex Schur form (exact
-    orthonormal eigenbasis for normal matrices)."""
-    from scipy.linalg import schur
-
-    t, _ = schur(u.astype(complex), output="complex")
-    phases = np.angle(np.diag(t))
+    phases = np.angle(np.linalg.eigvals(a))
     # np.angle returns [-pi, pi]; fold -pi to the +pi side of the branch cut
     phases = np.where(phases <= -np.pi + 1e-15, np.pi, phases)
-    return phases
+    order = np.argsort(-np.abs(phases), kind="stable")
+    return phases[order]
 
 
 def _phase_dists(a: np.ndarray, b: np.ndarray, norm: NormSpec) -> np.ndarray:
     """Intrinsic distances between the unitaries of two broadcast-compatible
     stacks a and b: the gauge of the eigenphases of each a* b, from one
-    batched eigvals (intrinsic_dist takes them from a Schur form, so the two
-    agree to rounding)."""
+    batched eigvals; two single matrices give a float."""
     w = np.einsum("...ji,...jl->...il", a.conj(), b)
     return norm.of_singular_values(np.angle(np.linalg.eigvals(w)))
 
 
-def logm_unitary(u, branch_tol: float = PHASE_BRANCH_TOL) -> np.ndarray:
+def logm_unitary(u) -> np.ndarray:
     """Principal logarithm of a unitary u: the unique skew x with exp(x) = u
     and operator norm < pi.
 
-    Refuses inputs with an eigenvalue within branch_tol of -1, where the
-    principal branch is ambiguous.
+    Refuses inputs with an eigenvalue within PHASE_BRANCH_TOL of -1, where
+    the principal branch is ambiguous.
     """
     from scipy.linalg import schur
 
@@ -196,7 +186,7 @@ def logm_unitary(u, branch_tol: float = PHASE_BRANCH_TOL) -> np.ndarray:
     real_input = not np.iscomplexobj(a)
     t, q = schur(a.astype(complex), output="complex")
     phases = np.angle(np.diag(t))
-    if np.any(np.pi - np.abs(phases) < branch_tol):
+    if np.any(np.pi - np.abs(phases) < PHASE_BRANCH_TOL):
         raise BranchAmbiguityError(
             "eigenvalue at -1: principal logarithm branch is ambiguous"
         )
@@ -207,7 +197,7 @@ def logm_unitary(u, branch_tol: float = PHASE_BRANCH_TOL) -> np.ndarray:
     return x
 
 
-def principal_angles(e, f, tol: float = TOL_ALG) -> np.ndarray:
+def principal_angles(e, f) -> np.ndarray:
     """Principal angles between the column spans of two orthonormal n-by-k
     frames, in [0, pi/2], sorted descending."""
     ea = np.asarray(e)
@@ -219,7 +209,7 @@ def principal_angles(e, f, tol: float = TOL_ALG) -> np.ndarray:
     k = ea.shape[1]
     for frame in (ea, fa):
         gram = frame.conj().T @ frame
-        if opnorm(gram - np.eye(k)) > max(tol, 1e-10):
+        if opnorm(gram - np.eye(k)) > TOL_ALG:
             raise InvalidArgumentError("frame columns are not orthonormal")
     s = np.linalg.svd(ea.conj().T @ fa, compute_uv=False)
     angles = np.arccos(np.clip(s, 0.0, 1.0))

@@ -6,6 +6,8 @@ group, to the gauge of the eigenphase vector of u*v (principal branch).  On a
 quotient the distance is exact, in every such norm, where a closed form
 exists (trivial subgroup, Grassmann, the determinant circle of U(n)/SU(n));
 elsewhere only an upper bound is certified, by local search over the fibre.
+_dists is the one place that chooses between the two, for every caller:
+the public distances check their points and pass plain arrays to it.
 
 The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
 2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
@@ -16,7 +18,7 @@ bit, without their per-call checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvals
@@ -31,7 +33,7 @@ from .matcore import (
     logm_unitary,
     principal_angles,
     schatten_norm,
-    _unitary_phases,
+    _phase_dists,
 )
 from .groups import (
     GroupElement,
@@ -59,7 +61,7 @@ def intrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
     a, b = _mat(u), _mat(v)
     if a.shape != b.shape:
         raise InvalidArgumentError("size mismatch")
-    return norm.of_singular_values(np.abs(_unitary_phases(a.conj().T @ b)))
+    return _phase_dists(a, b, norm)
 
 
 @dataclass(frozen=True)
@@ -74,24 +76,32 @@ class Curve:
 
     def __post_init__(self):
         pts = [_mat(p) for p in self.points]
-        if len(pts) < 1:
-            raise InvalidArgumentError("curve needs at least one point")
+        if len({p.shape for p in pts}) != 1:
+            raise InvalidArgumentError("curve needs one or more points of one shape")
         object.__setattr__(self, "points", tuple(pts))
 
 
 def curve_length(curve: Curve, norm: NormSpec = OPERATOR) -> float:
     """Length of the polygonal geodesic interpolant: the sum of intrinsic
     distances between consecutive samples."""
-    total = 0.0
-    pts = curve.points
-    for a, b in zip(pts[:-1], pts[1:]):
-        gap = intrinsic_dist(a, b, OPERATOR)
-        if gap >= np.pi / 2:
-            raise InvalidArgumentError(
-                f"consecutive samples {gap:.4f} apart; need < pi/2"
-            )
-        total += intrinsic_dist(a, b, norm)
-    return total
+    return float(_polyline_length(np.array(curve.points), norm))
+
+
+def _polyline_length(pts: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Lengths of the polygonal geodesic interpolants through the points of
+    pts, shape (..., m, n, n), one per polyline: the intrinsic distances of
+    consecutive points, summed in curve order.  Each gap must be below pi/2
+    in the operator norm, so that its joining geodesic is unique."""
+    gaps = _phase_dists(pts[..., :-1, :, :], pts[..., 1:, :, :], OPERATOR)
+    if np.any(gaps >= np.pi / 2):
+        gap = gaps[gaps >= np.pi / 2][0]
+        raise InvalidArgumentError(f"consecutive samples {gap:.4f} apart; need < pi/2")
+    if not norm.is_operator:
+        gaps = _phase_dists(pts[..., :-1, :, :], pts[..., 1:, :, :], norm)
+    length = np.zeros(gaps.shape[:-1])
+    for j in range(gaps.shape[-1]):
+        length = length + gaps[..., j]
+    return length
 
 
 def geodesic_point(u, x, t: float):
@@ -117,37 +127,27 @@ class CosetPoint:
     representative: GroupElement
     space: HomSpace
 
-    def same_coset(self, other: "CosetPoint", tol: float = 1e-6) -> bool:
-        return quotient_dist_upper(self, other) <= tol
+    def same_coset(self, other: "CosetPoint") -> bool:
+        return quotient_dist_upper(self, other) <= 1e-6
 
 
-def _closed_form_dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Exact quotient distances, in the norm of the space, between the
-    representatives of two broadcast-compatible stacks a (shape (..., n, n))
-    and b, as an array of their broadcast batch shape (pass a[:, None] and
-    b[None] for all pairs); None where the subgroup's kind has no closed
-    form (tensor factors, three or more blocks).  Each value is the gauge
-    of the singular values of the shortest logarithm joining two cosets."""
-    return space.subgroup.exact_dists(a, b, space.norm)
-
-
-def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between the points of two broadcast-compatible stacks a
-    and b (shape (..., n, n)), as an array of their broadcast batch shape:
-    batched where the space has a closed form, otherwise an optimizer upper
-    bound per pair."""
+def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng=0) -> np.ndarray:
+    """Quotient distances between the points of two broadcast-compatible
+    stacks a and b (shape (..., n, n), checked by the caller), as an array
+    of their broadcast batch shape (pass a[:, None] and b[None] for all
+    pairs): the subgroup's closed form where it has one, exact and batched,
+    otherwise one coset search per pair (an upper bound) with restarts and
+    rng."""
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     if 0 in shape:
         return np.zeros(shape)
-    d = _closed_form_dists(space, a, b)
+    d = space.subgroup.exact_dists(a, b, space.norm)
     if d is not None:
         return d
-    g = space.group
-    a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, g.n, g.n) for x in (a, b))
+    n = space.n
+    a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, n, n) for x in (a, b))
     return np.array([
-        quotient_dist_upper(CosetPoint(GroupElement(x, g), space),
-                            CosetPoint(GroupElement(y, g), space))
-        for x, y in zip(a, b)
+        _optimize_coset_dist(space, x, y, restarts, rng) for x, y in zip(a, b)
     ]).reshape(shape)
 
 
@@ -197,13 +197,7 @@ def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     return lo, hi
 
 
-def quotient_dist_upper(
-    p: CosetPoint,
-    q: CosetPoint,
-    restarts: int = 8,
-    max_iter: int = 200,
-    rng=0,
-) -> float:
+def quotient_dist_upper(p: CosetPoint, q: CosetPoint, restarts: int = 8, rng=0) -> float:
     """Certified upper bound on the quotient distance between two cosets.
 
     Exact in every unitarily invariant norm where the space has a closed
@@ -213,19 +207,12 @@ def quotient_dist_upper(
     """
     if p.space != q.space:
         raise InvalidArgumentError("cosets live in different spaces")
-    u = _mat(p.representative)
-    v = _mat(q.representative)
-    exact = _closed_form_dists(p.space, u, v)
-    if exact is not None:
-        return float(exact)
-    return _optimize_coset_dist(p, q, restarts, max_iter, rng)
+    return float(_dists(p.space, _mat(p.representative), _mat(q.representative), restarts, rng))
 
 
-def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
-    space = p.space
+def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts: int, rng) -> float:
+    """Powell over the subalgebra from the best few of several starts."""
     norm = space.norm
-    u = _mat(p.representative)
-    v = _mat(q.representative)
     basis = component_basis(space, "H")
     dim = len(basis)
     n = space.n
@@ -237,7 +224,7 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
 
     def phases_at(c):
         # the gufuncs behind np.linalg.eigh and eigvals, without their
-        # per-call checks: u and v are validated GroupElements and c is
+        # per-call checks: u and v are checked group elements and c is
         # Powell's finite iterate; a LAPACK failure sets the invalid flag,
         # which the errstate below turns into an error
         w_, v_ = eigh_lo((c @ hflat).reshape(n, n))
@@ -278,14 +265,14 @@ def _optimize_coset_dist(p, q, restarts, max_iter, rng) -> float:
                 surrogate,
                 c0,
                 method="Powell",
-                options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-9},
+                options={"maxiter": 200, "xtol": 1e-7, "ftol": 1e-9},
             )
             best = min(best, f0, float(f(res.x)))
             res2 = minimize(
                 f,
                 res.x,
                 method="Powell",
-                options={"maxiter": max_iter, "xtol": 1e-7, "ftol": 1e-10},
+                options={"maxiter": 200, "xtol": 1e-7, "ftol": 1e-10},
             )
             best = min(best, float(res2.fun))
             if best <= 1e-9:

@@ -34,7 +34,7 @@ from .matcore import (
     opnorm,
 )
 from .groups import GroupSpec, HomSpace, haar_samples, tangent_sample
-from .metrics import _dists, intrinsic_dist
+from .metrics import _dists, _polyline_length, intrinsic_dist
 from .invariants import kappa_known
 
 
@@ -125,10 +125,10 @@ def check_eq6(n: int, samples: int = 1000, rng=0) -> CheckReport:
     return CheckReport("eq6", {"n": n}, samples, worst, 1e-8, witness)
 
 
-def lemma4_product_bound(theta: float, tail_tol: float = 1e-12) -> float:
+def lemma4_product_bound(theta: float) -> float:
     """Lower bound on the worst exp-difference ratio in the theta-ball:
     the infinite product of (1 - |1 - exp(i theta / 2^k)|), truncated when
-    a factor exceeds 1 - tail_tol (the neglected tail then changes the
+    a factor exceeds 1 - 1e-12 (the neglected tail then changes the
     product by less than 1e-9)."""
     if not (0 < theta < 2 * np.pi / 3):
         raise InvalidArgumentError("theta must be in (0, 2 pi / 3)")
@@ -137,7 +137,7 @@ def lemma4_product_bound(theta: float, tail_tol: float = 1e-12) -> float:
     while True:
         factor = 1.0 - 2.0 * abs(np.sin(theta / 2 ** (k + 1)))
         prod *= factor
-        if factor > 1.0 - tail_tol:
+        if factor > 1.0 - 1e-12:
             break
         k += 1
         if k > 200:
@@ -308,16 +308,8 @@ def check_geodesic_minimality(
          np.broadcast_to(arc[:, np.newaxis, -1:], shape)],
         axis=2,
     )
-    # the operator norm is the one whose geodesic the arc is; each segment
-    # must be shorter than pi/2 to be a unique geodesic (as in curve_length)
-    gaps = _phase_dists(pts[:, :, :-1], pts[:, :, 1:], OPERATOR)
-    if np.any(gaps >= np.pi / 2):
-        gap = gaps[gaps >= np.pi / 2][0]
-        raise InvalidArgumentError(f"consecutive samples {gap:.4f} apart; need < pi/2")
-    length = gaps[..., 0]
-    for j in range(1, segments):  # summed in curve order
-        length = length + gaps[..., j]
-    dev = (opnorm(x)[:, np.newaxis] - length) - 1e-7
+    # the operator norm is the one whose geodesic the arc is
+    dev = (opnorm(x)[:, np.newaxis] - _polyline_length(pts, OPERATOR)) - 1e-7
     worst, witness = _worst(np.max(dev, axis=1), -np.inf, x=x)
     return CheckReport(
         "geodesic_minimality",

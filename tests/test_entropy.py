@@ -173,9 +173,9 @@ class TestBlockedLoops:
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
         seeds = list(haar_samples(space.group, np.random.default_rng(99), 3))
         calls = []
-        real = metrics.quotient_dist_upper
-        monkeypatch.setattr(metrics, "quotient_dist_upper",
-                            lambda p, q: calls.append(1) or real(p, q))
+        real = metrics._optimize_coset_dist
+        monkeypatch.setattr(metrics, "_optimize_coset_dist",
+                            lambda *args: calls.append(1) or real(*args))
         for initial in (None, seeds):
             calls.clear()
             want = sequential_packing(space, 1.1, 6, 2, initial or ())
@@ -225,11 +225,26 @@ class TestBlockedLoops:
                            (so4, greedy_net(so4, 0.9, 200, 200, rng=1))]:
             group = space.group if isinstance(space, HomSpace) else space
             rng = np.random.default_rng(0)
-            worst = 0.0
-            for _ in range(500):
-                p = haar_sample(group, rng).matrix
-                worst = max(worst, float(np.min(dists_to_centers(space, p, net.points))))
-            assert certify_cover(space, net, probe_budget=500, rng=0) == worst
+            probes = np.array([haar_sample(group, rng).matrix for _ in range(500)])
+            # each probe against every center, measured from the center
+            nearest = np.full(500, np.inf)
+            for c in net.points:
+                nearest = np.minimum(nearest, dists_to_centers(space, c, probes))
+            assert certify_cover(space, net, probe_budget=500, rng=0) == np.max(nearest)
+
+    @pytest.mark.parametrize("space, epsilon", [
+        (G42, 0.7), (HomSpace(GroupSpec("U", 3)), 0.9),
+        (HomSpace(GroupSpec("SO", 4)), 0.9), (G31_REAL, 0.5),
+    ], ids=["U4-grassmann2", "U3", "SO4", "SO3-grassmann1"])
+    def test_certify_cover_on_the_net_probes_gives_back_its_radius(self, space, epsilon):
+        # the same seed and budget give certify_cover the probe stream the
+        # net was built on; both measure d(center, probe), so the maximum
+        # is the same float, not merely close (the two orders of a pair may
+        # differ by an ulp)
+        for seed in range(10):
+            net = greedy_net(space, epsilon, 200, 150, rng=seed)
+            radius = net.probe_max_dist
+            assert certify_cover(space, net, probe_budget=150, rng=seed) == radius
 
     @pytest.mark.parametrize("space", [G42, HomSpace(GroupSpec("SO", 3)), HomSpace(GroupSpec("U", 3))],
                              ids=["U4-grassmann2", "SO3", "U3"])
@@ -248,14 +263,14 @@ class TestBlockedLoops:
         # a bracket that were silently bypassed would send every pair to
         # the exact path; the results must not depend on it
         pairs = []
-        real = metrics._closed_form_dists
+        real = entropy._dists
 
         def counted(space, a, b):
             d = real(space, a, b)
             pairs.append(d.size)
             return d
 
-        monkeypatch.setattr(metrics, "_closed_form_dists", counted)
+        monkeypatch.setattr(entropy, "_dists", counted)
         runs = {}
         for bracketed in (True, False):
             if not bracketed:
@@ -427,3 +442,57 @@ class TestPointDist:
         assert dists_to_centers(G31_REAL, a, [b])[0] == pytest.approx(
             grassmann_dist(a[:, :1], b[:, :1])
         )
+
+
+def _bad_points(group):
+    """Named point lists that are not elements of group: a non-unitary
+    matrix, a non-finite entry, a matrix of another size (alone and beside
+    a good point), and on SO(n) a reflection."""
+    n = group.n
+    good = haar_samples(group, np.random.default_rng(8), 1)[0]
+    nan = good.copy()
+    nan[0, 1] = np.nan
+    bad = {
+        "non_unitary": [good, 2 * np.eye(n)],
+        "non_finite": [good, nan],
+        "wrong_shape": [np.eye(n + 1)],
+        "ragged": [good, np.eye(n + 1)],
+    }
+    if group.kind == "SO":
+        bad["det_minus_one"] = [good, np.diag([-1.0] + [1.0] * (n - 1))]
+    return good, bad
+
+
+ENTRY_SPACES = [G42, HomSpace(GroupSpec("SO", 4)),
+                HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))]
+
+
+class TestEntryChecks:
+    """The public constructions check caller points once, at the entry, with
+    GroupElement's rule, whether or not the space has a closed form."""
+
+    @pytest.mark.parametrize("space", ENTRY_SPACES, ids=["U4-grassmann2", "SO4", "U3-block111"])
+    def test_each_entry_point_rejects_each_bad_point(self, space):
+        good, bad = _bad_points(space.group)
+        for case, pts in bad.items():
+            net = entropy.NetResult("net_Npp", 0.5, pts, len(pts), False)
+            calls = {
+                "greedy_packing": lambda: greedy_packing(space, 0.5, 0, initial=pts),
+                "verify_separated": lambda: verify_separated(space, pts, 0.5),
+                "certify_cover": lambda: certify_cover(space, net, probe_budget=2),
+                "dists_to_centers(centers)": lambda: dists_to_centers(space, good, pts),
+                "dists_to_centers(point)": lambda: dists_to_centers(space, pts[-1], [good]),
+            }
+            for name, call in calls.items():
+                with pytest.raises(InvalidArgumentError):
+                    call()
+                    pytest.fail(f"{name} accepted {case}")
+
+    def test_scaled_identity_is_no_packing_seed(self):
+        with pytest.raises(InvalidArgumentError):
+            greedy_packing(G42, 0.5, 5, initial=[2 * np.eye(4)])
+
+    def test_empty_point_lists_are_accepted(self):
+        assert greedy_packing(G42, 0.5, 0, initial=[]).count == 0
+        verify_separated(G42, [], 0.5)
+        assert dists_to_centers(G42, np.eye(4), []).shape == (0,)

@@ -38,8 +38,9 @@ from unicover.metrics import (
     quotient_dist_upper,
     _bracket,
     _bracket_features,
-    _closed_form_dists,
+    _dists,
     _optimize_coset_dist,
+    _polyline_length,
 )
 from unicover import metrics
 from unicover.entropy import dists_to_centers
@@ -102,6 +103,17 @@ class TestIntrinsicDist:
         with pytest.raises(InvalidArgumentError):
             intrinsic_dist(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("norm_id", ["schatten_1", "schatten_2", "schatten_inf"])
+    @pytest.mark.parametrize("kind, n", [("U", 3), ("SO", 4)])
+    def test_bit_identical_to_bare_group_distance(self, kind, n, norm_id):
+        # one eigenphase kernel: the public intrinsic distance and the bare
+        # group's quotient distance are the same float
+        space = HomSpace(GroupSpec(kind, n), SubgroupSpec.trivial(), NORMS[norm_id])
+        pts = haar_samples(space.group, np.random.default_rng(12), 20)
+        for u, v in zip(pts[0::2], pts[1::2]):
+            d = quotient_dist_upper(_coset(space, u), _coset(space, v))
+            assert intrinsic_dist(u, v, space.norm) == d
+
 
 class TestCurves:
     def test_geodesic_segment_length_equals_norm(self, rng):
@@ -132,6 +144,26 @@ class TestCurves:
     def test_times_validation(self):
         with pytest.raises(InvalidArgumentError):
             Curve([])
+        with pytest.raises(InvalidArgumentError):
+            Curve([np.eye(2), np.eye(3)])
+
+    @pytest.mark.parametrize("norm", [OPERATOR, FROBENIUS, NormSpec.schatten(1)],
+                             ids=["operator", "schatten2", "schatten1"])
+    def test_length_is_the_geodesic_checks_polyline_length(self, norm, rng):
+        # curve_length and check_geodesic_minimality share one length: a
+        # stack of polylines gives each curve's length bit for bit
+        x = random_skew(3, rng)
+        x *= 2.0 / opnorm(x)
+        curves = []
+        for _ in range(4):
+            pts = [geodesic_point(np.eye(3), x, t) for t in np.linspace(0, 1, 9)]
+            kinks = [random_skew(3, rng) for _ in pts[1:-1]]
+            bent = [p @ expm_skew(0.2 * w / opnorm(w)) for p, w in zip(pts[1:-1], kinks)]
+            curves.append([pts[0], *bent, pts[-1]])
+        lengths = _polyline_length(np.array(curves), norm)
+        assert lengths.shape == (4,)
+        for c, want in zip(curves, lengths):
+            assert curve_length(Curve(c), norm) == want
 
 
 class TestGrassmannDist:
@@ -224,12 +256,12 @@ class TestQuotientDist:
         """The local search itself (no closed-form assist) must recover the
         exact distance even where the quotient geodesic folds back."""
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.grassmann(1))
-        base = _coset(space, np.eye(3, dtype=complex))
+        base = np.eye(3, dtype=complex)
         x = tangent_sample(space, "X", np.pi, np.random.default_rng(1)).matrix
         for t in (0.3, 0.6, 0.75, 0.95):
             v = expm_skew(t * x)
-            closed = _closed_form_dists(space, np.eye(3, dtype=complex), v)
-            opt = _optimize_coset_dist(base, _coset(space, v), 8, 200, 0)
+            closed = _dists(space, base, v)
+            opt = _optimize_coset_dist(space, base, v, 8, 0)
             assert opt == pytest.approx(closed, abs=1e-6)
 
     def test_multiblock_optimization_bounded_by_grassmann_pair(self, rng):
@@ -283,8 +315,8 @@ class TestClosedFormsMatchOptimizer:
             u = haar_sample(space.group, rng).matrix
             x = tangent_sample(space, "X", np.pi / 4, rng).matrix
             v = u @ expm_skew(x)
-            closed = _closed_form_dists(space, u, np.stack([v, u]))
-            opt = _optimize_coset_dist(_coset(space, u), _coset(space, v), 8, 200, 0)
+            closed = _dists(space, u, np.stack([v, u]))
+            opt = _optimize_coset_dist(space, u, v, 8, 0)
             assert closed[0] == pytest.approx(opt, abs=1e-8)
             assert closed[1] == pytest.approx(0.0, abs=1e-6)
             assert quotient_dist_upper(_coset(space, u), _coset(space, v)) == closed[0]
@@ -294,7 +326,7 @@ class TestClosedFormsMatchOptimizer:
         for sub in (SubgroupSpec.tensor_factor(2, 2),
                     SubgroupSpec.block_diagonal([2, 1, 1])):
             space = HomSpace(GroupSpec("U", 4), sub)
-            assert _closed_form_dists(space, u, u) is None
+            assert space.subgroup.exact_dists(u, u, space.norm) is None
 
 
 def _reference_optimize(p, q, restarts=8, max_iter=200, rng=0):
@@ -369,10 +401,10 @@ class TestLeanObjective:
         w = u @ expm_skew(tangent_sample(space, "H", 1.0, rng).matrix)
         for a, b in [(u, v), (v, u), (u, w)]:
             p, q = _coset(space, a), _coset(space, b)
-            assert _optimize_coset_dist(p, q, 8, 200, 0) == _reference_optimize(p, q)
+            assert _optimize_coset_dist(space, a, b, 8, 0) == _reference_optimize(p, q)
         runs = []
         monkeypatch.setattr(metrics, "minimize", lambda *a, **k: runs.append(1) or minimize(*a, **k))
-        assert _optimize_coset_dist(_coset(space, u), _coset(space, w), 8, 200, 0) <= 1e-9
+        assert _optimize_coset_dist(space, u, w, 8, 0) <= 1e-9
         assert len(runs) == 2
 
     def test_lapack_failure_raises(self, monkeypatch):
@@ -399,7 +431,7 @@ BRACKET_SPACES = (
 def _bracket_pairs(space, a, b):
     """The bracket and the exact distance of the pairs (a[i], b[i])."""
     lo, hi = _bracket(space, _bracket_features(space, a), _bracket_features(space, b))
-    return lo.diagonal(), hi.diagonal(), _closed_form_dists(space, a, b)
+    return lo.diagonal(), hi.diagonal(), _dists(space, a, b)
 
 
 class TestBracket:

@@ -6,13 +6,15 @@ Packings are verified epsilon-separated post hoc; net certification is
 probabilistic against a Haar probe cloud (the exact covering number is
 bracketed between the certified net and the packing count).
 
-In the operator norm, on the bare group and on Grassmannians, the loops
-first bound every pair by metrics._bracket (lo <= d <= hi, one GEMM over
-feature rows) and settle the pairs that clear epsilon, or the distance in
-question, by MARGIN; only the remaining pairs reach the exact distance.
-Every decision near epsilon and every reported value is an exact
-distance, so the results are those of the exhaustive loops.  On spaces
-with no bracket every pair is measured.
+Each Haar cloud is drawn in one haar_samples call, in the stream order of
+one-at-a-time draws.  In the operator norm, on the bare group and on
+Grassmannians, the loops first bound every pair by metrics._bracket
+(lo <= d <= hi, from products of feature rows; exact to rounding on the
+Grassmannians with min(k, n - k) <= 2) and settle the pairs that clear
+epsilon, or the distance in question, by MARGIN; only the remaining pairs
+reach the exact distance.  Every decision near epsilon and every reported
+value is an exact distance, so the results are those of the exhaustive
+loops.  On spaces with no bracket every pair is measured.
 
 Each public entry point checks the points a caller passes once, with
 GroupElement's rule (finite, unitary, and on SO(n) real with determinant
@@ -28,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import GroupSpec, HomSpace, _elements, component_basis, haar_samples
+from .groups import HomSpace, _elements, component_basis, haar_samples
 from .metrics import _bracket, _bracket_features, _dists
 from .invariants import (
     diameter_estimate,
@@ -105,10 +107,9 @@ def _push(buf: np.ndarray, count: int, row) -> np.ndarray:
     return buf
 
 
-def _haar_blocks(group: GroupSpec, rng, m: int):
-    """m Haar samples in blocks of at most BLOCK, in stream order."""
-    for start in range(0, m, BLOCK):
-        yield haar_samples(group, rng, min(BLOCK, m - start))
+def _blocks(x: np.ndarray):
+    """The consecutive slices of at most BLOCK rows of x."""
+    return (x[i:i + BLOCK] for i in range(0, len(x), BLOCK))
 
 
 def dists_to_centers(space: HomSpace, a: np.ndarray, centers) -> np.ndarray:
@@ -148,10 +149,8 @@ def greedy_packing(
     g = space.group
     rng = np.random.default_rng(rng)
     seeds = _elements(g, () if initial is None else initial)
-    blocks = chain(
-        (seeds[i:i + BLOCK] for i in range(0, len(seeds), BLOCK)),
-        _haar_blocks(g, rng, sampler_budget),
-    )
+    cands = haar_samples(g, rng, sampler_budget)
+    blocks = chain(_blocks(seeds), _blocks(cands))
     centers = np.empty((0, g.n, g.n), np.result_type(seeds, g.identity()))
     feats = _bracket_features(space, centers)
     count = 0
@@ -215,7 +214,7 @@ def greedy_net(
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
     rng = np.random.default_rng(rng)
-    probes = np.concatenate(list(_haar_blocks(space.group, rng, probe_budget)))
+    probes = haar_samples(space.group, rng, probe_budget)
     feats = _bracket_features(space, probes)
     chosen = [0]
     nearest = np.full(probe_budget, np.inf)
@@ -321,7 +320,7 @@ def certify_cover(
     centers = _elements(space.group, net.points)
     feats = _bracket_features(space, centers)
     worst = 0.0
-    for block in _haar_blocks(space.group, rng, probe_budget):
+    for block in _blocks(haar_samples(space.group, rng, probe_budget)):
         lo, hi = _bracket(space, _bracket_features(space, block), feats)
         rows, cols = np.nonzero(lo <= np.min(hi, axis=1, keepdims=True) + MARGIN)
         nearest = np.full(len(block), np.inf)

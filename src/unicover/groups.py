@@ -110,7 +110,7 @@ class SubgroupSpec:
         return None
 
     def bracket_rows(self, x: np.ndarray):
-        """Complex per-point matrices for metrics._bracket, or None."""
+        """Complex per-point rows for metrics._bracket, or None."""
         return None
 
     def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
@@ -150,7 +150,7 @@ class Trivial(SubgroupSpec):
 
     def bracket_rows(self, x):
         # complex even on SO(n), so that real and complex stacks share a width
-        return np.asarray(x, dtype=complex)
+        return np.asarray(x, dtype=complex).reshape(len(x), x.shape[-1] ** 2)
 
     def bracket_terms(self, inner, group: GroupSpec):
         n = group.n
@@ -237,14 +237,11 @@ class _Blocks(SubgroupSpec):
         n = group.n
         if group.is_complex:
             # the subalgebra holds the imaginary diagonals of its torus, so
-            # any of them with a phase pinned at pi is a witness
+            # one with a phase pinned at pi is a witness, at distance pi:
+            # no witness is nearer, so there is nothing to search for
             pinned = np.zeros(n)
             pinned[0] = np.pi
             yield pinned
-            for _ in range(search_budget):
-                phases = rng.uniform(-np.pi, np.pi, size=n)
-                phases[rng.integers(0, n)] = np.pi
-                yield phases
             return
         # real case: the torus lives in 2x2 rotation blocks; a rotation by
         # pi inside one subgroup block is a witness when it fits
@@ -296,12 +293,25 @@ class Grassmann(_Blocks):
         return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
 
     def bracket_rows(self, x):
-        # the projector E E* onto the span of the first k columns
-        e = np.asarray(x, dtype=complex)[..., :self.k]
-        return np.einsum("mik,mjk->mij", e, e.conj())
+        # the projector E E* onto the span of the smaller side's frame E:
+        # the first k columns, or past k = n / 2 the last n - k, since a
+        # subspace and its complement have the same nonzero principal
+        # angles; for a 2-frame (e, f) also the wedge e f^T - f e^T, whose
+        # entries above the diagonal are the Pluecker coordinates of the
+        # span, so that <W_a, W_b> = 2 det(E_a* E_b) (Cauchy-Binet).  Its
+        # sign on SO(n) carries the orientation.
+        x = np.asarray(x, dtype=complex)
+        k, n = self.k, x.shape[-1]
+        e = x[..., :k] if 2 * k <= n else x[..., k:]
+        rows = [np.einsum("mik,mjk->mij", e, e.conj())]
+        if e.shape[-1] == 2:
+            outer = e[:, :, 0, np.newaxis] * e[:, np.newaxis, :, 1]
+            rows.append(outer - outer.transpose(0, 2, 1))
+        return np.concatenate(rows, axis=1).reshape(len(x), len(rows) * n * n)
 
     def bracket_terms(self, inner, group: GroupSpec):
-        return self.k - inner, min(self.k, group.n - self.k), 1.0
+        m = min(self.k, group.n - self.k)
+        return m - inner, m, 1.0
 
     def diameter(self, group, norm):
         # a frame carried onto its orthogonal complement: every angle pi/2
@@ -370,11 +380,11 @@ class TensorFactor(_Blocks):
 
     def witness_phases(self, group, rng, search_budget):
         # the torus of the subgroup is the diagonals that repeat with period
-        # k, so the first block's pattern is tiled across all m blocks
-        for phases in super().witness_phases(group, rng, search_budget):
+        # k, so the first block's pattern is tiled across all m blocks (the
+        # later SO(n) rotations lie outside the first block)
+        phases = next(iter(super().witness_phases(group, rng, search_budget)), None)
+        if phases is not None:
             yield np.tile(phases[: self.k], self.m)
-            if not group.is_complex:
-                return  # the later SO(n) rotations lie outside the first block
 
 
 @dataclass(frozen=True)

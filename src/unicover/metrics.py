@@ -37,7 +37,9 @@ from .matcore import (
 )
 from .groups import (
     GroupElement,
+    GroupSpec,
     HomSpace,
+    _elements,
     _mat,
     component_basis,
     _project_H_mat,
@@ -54,6 +56,8 @@ def extrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
 
 def intrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
     """Geodesic distance: the gauge of the principal-log eigenphases of u*v.
+    Raises InvalidArgumentError unless u and v are unitary matrices of one
+    size.
 
     At an eigenvalue -1 the two log branches give the phases +pi and -pi,
     whose absolute values agree, so the value is the same in every norm.
@@ -61,7 +65,8 @@ def intrinsic_dist(u, v, norm: NormSpec = OPERATOR) -> float:
     a, b = _mat(u), _mat(v)
     if a.shape != b.shape:
         raise InvalidArgumentError("size mismatch")
-    return _phase_dists(a, b, norm)
+    group = GroupSpec("U", a.shape[-1] if a.ndim else 0)
+    return _phase_dists(_elements(group, a, stack=False), _elements(group, b, stack=False), norm)
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,18 @@ def grassmann_dist(e, f, norm: NormSpec = OPERATOR) -> float:
 
 @dataclass(frozen=True)
 class CosetPoint:
-    """A point of M = G/H, stored as a group representative."""
+    """A point of M = G/H, stored as a group representative: a matrix that
+    is not already a GroupElement of the space's group is checked as one."""
 
     representative: GroupElement
     space: HomSpace
+
+    def __post_init__(self):
+        rep, group = self.representative, self.space.group
+        if not isinstance(rep, GroupElement):
+            object.__setattr__(self, "representative", GroupElement(_mat(rep), group))
+        elif rep.group != group:
+            raise InvalidArgumentError("representative lies in another group")
 
     def same_coset(self, other: "CosetPoint") -> bool:
         return quotient_dist_upper(self, other) <= 1e-6
@@ -151,37 +164,54 @@ def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng
     ]).reshape(shape)
 
 
-# Allowance on the bracket's sum of sin^2 terms for the rounding of its
-# inner product (a few ulps of a sum of size at most n, for representatives
-# unitary to rounding): it keeps lo <= d <= hi sound, and near 0 its square
-# root, 1e-6, is far wider than the 5e-8 floor of the Grassmann closed form.
+# Rounding bound delta on each product the bracket takes (e1, e2 and the
+# sums s below) for representatives unitary to rounding: each is a sum of
+# 2 n^2 products whose absolute values add to at most n, so it is off by at
+# most about 2 n^3 ulps, 1.4e-14 at n = 4 and 2e-13 at n = 10.  It keeps
+# lo <= d <= hi sound, and near 0 its square root, 1e-6, is far wider than
+# the 5e-8 floor of the Grassmann closed form.
 _BRACKET_SLACK = 1e-12
+# The Pluecker root r = sqrt(e1^2 - 4 e2) has an argument off by at most
+# 8 delta, and |sqrt(x) - sqrt(y)| <= |x - y| / sqrt(x) and <= sqrt(|x - y|),
+# so r is off by at most 8 delta / max(r, sqrt(8 delta)) and the largest
+# sin^2, 1 - (e1 - r) / 2, by half of delta plus that: at most about 1.4e-6
+# at a double root, about 1e-11 where the two angles are apart.
+_ROOT_FLOOR = np.sqrt(8 * _BRACKET_SLACK)
 
 
 def _bracket_features(space: HomSpace, x: np.ndarray) -> np.ndarray:
-    """Per-point feature rows for _bracket, shape (len(x), 2 n^2): the real
-    and imaginary parts of the projector E E* onto the span of the first k
-    columns (grassmann(k)) or of the matrix itself (trivial), flattened.
+    """Per-point feature rows for _bracket: the real and imaginary parts of
+    the matrix itself (trivial), or of the projector onto the span of the
+    smaller side's frame (grassmann(k)) followed, for a 2-frame, by its
+    wedge, the antisymmetric matrix of its Pluecker coordinates, flattened.
     Zero-width rows where the space has no bracket."""
     rows = space.subgroup.bracket_rows(x) if space.norm.is_operator else None
     if rows is None:
         return np.zeros((len(x), 0))
     # a complex array viewed as floats interleaves real and imaginary parts
-    return np.ascontiguousarray(rows).view(float).reshape(len(x), 2 * space.n ** 2)
+    return np.ascontiguousarray(rows).view(float)
 
 
 def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     """Bounds lo <= d <= hi on the operator-norm distance between each
     point of fa and each point of fb (their _bracket_features rows), as two
-    (len(fa), len(fb)) arrays from one GEMM; lo = 0 and hi = inf where the
-    space has no bracket.
+    (len(fa), len(fb)) arrays from one GEMM over the projector (or matrix)
+    columns and, for a Grassmannian of 2-frames, one over the wedge
+    columns; lo = 0 and hi = inf where the space has no bracket.
 
-    In each case s is a sum of m nonnegative terms, the largest of which
-    is sin^2(d / w), so sin^2(d / w) lies in [s/m, s]; the subgroup's kind
-    gives (s, m, w) from the inner products:
-    - grassmann(k): s = k - <P_a, P_b> is the sum of sin^2 over the
-      principal angles (the chordal distance of Conway, Hardin and Sloane),
-      m = min(k, n - k) of them nonzero, and d is the largest; w = 1.
+    The subgroup's kind gives (s, m, w) from the first inner products: s
+    is a sum of m nonnegative terms, the largest of which is sin^2(d / w),
+    so sin^2(d / w) lies in [s/m, s]:
+    - grassmann(k): for the frames of the smaller side, m = min(k, n - k)
+      columns, e1 = <P_a, P_b> is the sum of the squared cosines c_i of
+      the principal angles, s = m - e1 the sum of their sin^2 (the chordal
+      distance of Conway, Hardin and Sloane), and d is the largest; w = 1.
+      For m = 2 the wedge product <W_a, W_b> = 2 det(E_a* E_b) gives
+      e2 = |det(E_a* E_b)|^2 = c_1 c_2 as well (Cauchy-Binet), so
+      sin^2 d = 1 - (e1 - sqrt(e1^2 - 4 e2)) / 2 exactly,
+      to rounding (see _ROOT_FLOOR; up to about 1e-3 in angle where the
+      two angles meet near d = 0 or d = pi/2, where arcsin of the square
+      root is steep).
     - trivial on U(n): ||a - b||_F^2 = 2n - 2 Re tr(a* b) is the sum of
       4 sin^2(phi_j / 2) over the n eigenphases of a* b, and d = max
       |phi_j|; s = ||a - b||_F^2 / 4, m = n, w = 2.
@@ -191,9 +221,19 @@ def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     shape = (len(fa), len(fb))
     if fa.shape[1] == 0:
         return np.zeros(shape), np.full(shape, np.inf)
-    s, m, w = space.subgroup.bracket_terms(fa @ fb.T, space.group)
-    lo = w * np.arcsin(np.sqrt(np.clip((s - _BRACKET_SLACK) / m, 0.0, 1.0)))
-    hi = w * np.arcsin(np.sqrt(np.clip(s + _BRACKET_SLACK, 0.0, 1.0)))
+    cols = 2 * space.n ** 2  # the floats of one n x n complex matrix
+    inner = fa[:, :cols] @ fb[:, :cols].T
+    s, m, w = space.subgroup.bracket_terms(inner, space.group)
+    if fa.shape[1] == cols:
+        lo, hi = (s - _BRACKET_SLACK) / m, s + _BRACKET_SLACK
+    else:
+        h = fa[:, cols:].view(complex).conj() @ fb[:, cols:].view(complex).T
+        root = np.sqrt(np.maximum(inner * inner - (h.real ** 2 + h.imag ** 2), 0.0))
+        x = 1.0 - (inner - root) / 2
+        slack = (_BRACKET_SLACK + 8 * _BRACKET_SLACK / np.maximum(root, _ROOT_FLOOR)) / 2
+        lo, hi = x - slack, x + slack
+    lo = w * np.arcsin(np.sqrt(np.clip(lo, 0.0, 1.0)))
+    hi = w * np.arcsin(np.sqrt(np.clip(hi, 0.0, 1.0)))
     return lo, hi
 
 
@@ -255,7 +295,7 @@ def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts
 
     with np.errstate(invalid="raise"):
         ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
-        best = intrinsic_dist(u, v, norm)
+        best = _phase_dists(u, v, norm)
         surrogate = f_smooth if norm.is_operator else f
         for c0 in ranked:
             f0 = float(f(c0))

@@ -5,8 +5,10 @@ import configparser
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from unicover import entropy
 from unicover.cli import CSV_COLUMNS, main, parse_space
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec
 
@@ -218,6 +220,40 @@ class TestDeterminism:
         h2 = (out2 / "packing_curve.csv").read_text().splitlines()[0]
         assert h1 == h2
         assert (out2 / "packing_curve.csv").read_text().splitlines()[1].split(",")[5] == "8"
+
+
+# the benchmark's cover config: U(4)/G(4,2), grid 1.2 0.9 0.6, budgets 700
+BENCH_COVER = """
+[space]
+group = U
+n = 4
+subgroup = grassmann
+k = 2
+
+[task]
+kind = cover_curve
+epsilon_grid = 1.2 0.9 0.6
+budget = 700
+probe_budget = 700
+seed = 0
+"""
+
+
+@pytest.mark.parametrize("seed", ["3", "11"])
+def test_bracket_leaves_cover_curve_bytes_unchanged(seed, tmp_path, monkeypatch):
+    """The bracket only decides which pairs skip the exact distance: with
+    zero-width feature rows (no bracket, every pair measured) the loops give
+    the same CSV bytes, so an unsound bracket shows here."""
+    cfg = _write(tmp_path, BENCH_COVER)
+    out = {}
+    for bracketed in (True, False):
+        if not bracketed:
+            monkeypatch.setattr(entropy, "_bracket_features",
+                                lambda space, x: np.zeros((len(x), 0)))
+        out[bracketed] = tmp_path / str(bracketed)
+        assert main(["run", cfg, "--seed", seed, "--out-dir", str(out[bracketed])]) == 0
+    csv = [(out[b] / "cover_curve.csv").read_bytes() for b in (True, False)]
+    assert csv[0] == csv[1]
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"

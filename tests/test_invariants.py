@@ -98,6 +98,28 @@ class TestTheta:
         # known extrinsic value 2 corresponds to intrinsic pi
         assert tw >= np.pi - 1e-9
 
+    @pytest.mark.parametrize("budget", [0, 200])
+    @pytest.mark.parametrize("kind, n, sub, want", [
+        ("U", 3, SubgroupSpec.block_diagonal([1, 1, 1]), np.pi),
+        ("U", 4, SubgroupSpec.block_diagonal([2, 1, 1]), np.pi),
+        ("U", 4, SubgroupSpec.tensor_factor(2, 2), np.pi),
+        ("U", 4, SubgroupSpec.tensor_factor(4, 1), np.pi),
+        ("U", 4, SubgroupSpec.grassmann(2), np.pi),
+        ("SO", 5, SubgroupSpec.block_diagonal([2, 2, 1]), np.pi),
+        ("SO", 4, SubgroupSpec.tensor_factor(2, 2), np.pi),
+        ("SO", 6, SubgroupSpec.tensor_factor(2, 3), np.pi),
+        ("SO", 4, SubgroupSpec.grassmann(2), np.pi),
+        ("SO", 3, SubgroupSpec.grassmann(1), np.pi),
+        ("SO", 3, SubgroupSpec.block_diagonal([1, 1, 1]), None),
+    ], ids=lambda v: getattr(v, "label", None))
+    def test_block_witness_is_pi_for_every_budget(self, kind, n, sub, want, budget):
+        # a witness of a block kind is pinned at pi, and no witness is
+        # nearer, so the budget and the stream do not change the bound;
+        # an SO partition with no block of size two has no rotation by pi
+        space = HomSpace(GroupSpec(kind, n), sub)
+        for rng in (0, 1):
+            assert theta_witness_upper(space, search_budget=budget, rng=rng) == want
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_branch_rule_matches_enumeration(self, n):
         """The O(n log n) branch rule of _min_log_norm_diag against a brute

@@ -103,6 +103,15 @@ class TestIntrinsicDist:
         with pytest.raises(InvalidArgumentError):
             intrinsic_dist(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("u, v", [
+        (2 * np.eye(3), np.eye(3)),
+        (np.eye(3), np.full((3, 3), np.nan)),
+        (np.ones(3), np.ones(3)),
+    ], ids=["scaled", "nan", "vector"])
+    def test_rejects_non_unitary(self, u, v):
+        with pytest.raises(InvalidArgumentError):
+            intrinsic_dist(u, v)
+
     @pytest.mark.parametrize("norm_id", ["schatten_1", "schatten_2", "schatten_inf"])
     @pytest.mark.parametrize("kind, n", [("U", 3), ("SO", 4)])
     def test_bit_identical_to_bare_group_distance(self, kind, n, norm_id):
@@ -215,6 +224,17 @@ class TestQuotientDist:
             want = abs(np.angle(np.linalg.det(u.conj().T @ v))) / 2
             d = quotient_dist_upper(_coset(CIRCLE, u), _coset(CIRCLE, v), rng=rng)
             assert d == pytest.approx(want, abs=1e-6)
+
+    def test_coset_point_checks_a_bare_representative(self):
+        ok = _coset(GRASS, np.eye(4))
+        for bad in (2 * np.eye(4), np.full((4, 4), np.inf), np.eye(3)):
+            with pytest.raises(InvalidArgumentError):
+                quotient_dist_upper(CosetPoint(bad, GRASS), ok)
+        with pytest.raises(InvalidArgumentError):  # an element of U(3)
+            CosetPoint(GroupElement(np.eye(3), GroupSpec("U", 3)), GRASS)
+        p = CosetPoint(np.eye(4), GRASS)
+        assert p.representative.group == GRASS.group
+        assert quotient_dist_upper(p, ok) == 0.0
 
     def test_antipodal_scalar_circle_distance(self):
         # U(2)/SU(2): I vs e^{i pi/2} I lie at distance pi/2 on the
@@ -424,8 +444,13 @@ BRACKET_SPACES = (
     [HomSpace(GroupSpec("U", n), TRIVIAL) for n in range(1, 5)]
     + [HomSpace(GroupSpec("SO", n), TRIVIAL) for n in range(2, 6)]
     + [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
-       for g, n, k in [("U", 4, 2), ("U", 3, 1), ("U", 5, 3), ("SO", 3, 1), ("SO", 4, 2)]]
+       for g, n, k in [("U", 4, 2), ("U", 3, 1), ("U", 5, 3), ("SO", 3, 1), ("SO", 4, 2),
+                       ("U", 6, 3)]]
 )
+# Grassmannians with min(k, n - k) = 2, on both sides of k = n / 2: the
+# bracket takes the Pluecker coordinates of the smaller side's 2-frame
+PLUCKER_SPACES = [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
+                  for g, n, k in [("U", 4, 2), ("U", 5, 3), ("U", 5, 2), ("SO", 4, 2), ("SO", 5, 3)]]
 
 
 def _bracket_pairs(space, a, b):
@@ -451,6 +476,33 @@ class TestBracket:
                  else space.n // 2 if space.group.kind == "SO" else space.n)
         if terms == 1:  # one nonzero term: the bracket pins the distance
             assert np.all(hi - lo <= 1e-9)
+        elif terms == 2 and sub.kind == "grassmann":
+            # the Pluecker product pins the largest of two angles
+            assert np.all(hi - lo <= 1e-5)
+        else:  # only [s/m, s]
+            assert np.max(hi - lo) > 1e-2
+
+    @pytest.mark.parametrize("space", BRACKET_SPACES, ids=_space_id)
+    def test_self_pairs_get_zero_lower_bound(self, space):
+        a = haar_samples(space.group, np.random.default_rng(14), 50)
+        lo, hi, d = _bracket_pairs(space, a, a)
+        assert np.all(lo == 0.0)
+        assert np.all(d <= hi)
+
+    @pytest.mark.parametrize("angle", [1e-7, 1e-4, 0.3, 0.9, np.pi / 2 - 1e-4, np.pi / 2])
+    @pytest.mark.parametrize("space", PLUCKER_SPACES, ids=_space_id)
+    def test_contains_exact_at_equal_angles(self, space, angle):
+        # b = a exp(x) with x turning column 0 toward column k and column 1
+        # toward column k + 1 by one angle: two equal principal angles, a
+        # double root of the Pluecker quadratic
+        n, k = space.n, space.subgroup.k
+        x = np.zeros((n, n))
+        for i in (0, 1):
+            x[k + i, i], x[i, k + i] = angle, -angle
+        a = haar_samples(space.group, np.random.default_rng(15), 40)
+        lo, hi, d = _bracket_pairs(space, a, a @ expm_skew(x))
+        assert np.all(lo <= d) and np.all(d <= hi)
+        assert np.allclose(d, angle, atol=1e-7)
 
     @pytest.mark.parametrize("delta", [1e-6, 1e-3])
     @pytest.mark.parametrize("space", BRACKET_SPACES, ids=_space_id)

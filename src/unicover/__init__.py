@@ -25,22 +25,20 @@ from .groups import (
     project_H,
     project_X,
     tangent_sample,
+    tangent_samples,
 )
 from .metrics import (
     CosetPoint,
     Curve,
     curve_length,
     extrinsic_dist,
-    geodesic_point,
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
 )
 from .invariants import (
-    InvariantReport,
     diameter_estimate,
     diameter_known,
-    invariant_report,
     kappa_known,
     kappa_lower,
     theta_known,
@@ -56,7 +54,6 @@ from .entropy import (
     linearized_cover,
     theorem8_bounds,
     theorem11_gate,
-    volume_bounds,
 )
 from .verify import (
     CheckReport,

@@ -36,7 +36,7 @@ import numpy as np
 from .groups import GroupSpec, HomSpace, SubgroupSpec
 from .matcore import InvalidArgumentError
 from .invariants import diameter_known, kappa_known, kappa_lower, theta_known
-from .entropy import greedy_net, greedy_packing, theorem8_bounds
+from .entropy import chain_consistent, greedy_net, greedy_packing, theorem8_bounds
 from . import verify as verify_mod
 
 CSV_COLUMNS = [
@@ -151,7 +151,6 @@ def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
     kind = task["kind"]
     seed = task["seed"]
     sid = _space_id(space)
-    inv = _invariant_row(space, seed, task["samples"])
 
     if kind == "verify_all":
         n = space.n
@@ -171,13 +170,6 @@ def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
             failed = failed or not rep.passed
         return 2 if failed else 0
 
-    if kind == "invariants":
-        rows = [dict(space_id=sid, epsilon="", quantity_kind="invariants",
-                     count="", probe_max_dist="", seed=seed,
-                     budget=task["samples"], **inv)]
-        _write_csv(os.path.join(out_dir, "invariants.csv"), rows)
-        return 0
-
     if kind == "bounds":
         lines = []
         for eps in task["epsilon_grid"]:
@@ -194,6 +186,15 @@ def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
             "space_id,epsilon,lower,upper,lower_applicable,upper_applicable,c,C\n"
             + "\n".join(lines) + "\n",
         )
+        return 0
+
+    # the invariant columns of the CSV rows the remaining tasks write
+    inv = _invariant_row(space, seed, task["samples"])
+    if kind == "invariants":
+        rows = [dict(space_id=sid, epsilon="", quantity_kind="invariants",
+                     count="", probe_max_dist="", seed=seed,
+                     budget=task["samples"], **inv)]
+        _write_csv(os.path.join(out_dir, "invariants.csv"), rows)
         return 0
 
     # packing_curve / cover_curve
@@ -216,7 +217,7 @@ def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
                          probe_max_dist="", seed=seed,
                          budget=task["budget"], **inv))
         if net is not None:
-            if net.count > pack.count:
+            if not chain_consistent(net, pack):
                 print(f"WARN chain: net count {net.count} > packing "
                       f"{pack.count} at eps={eps}", file=sys.stderr)
             rows.append(dict(space_id=sid, epsilon=f"{eps:.12g}",

@@ -1,10 +1,13 @@
 """Packing and covering constructions on groups and homogeneous spaces,
-volume bounds, the exp-linearized covering scheme, and evaluation of the
-two-sided entropy bounds.
+the exp-linearized covering scheme, and evaluation of the two-sided entropy
+bounds.
 
-Packings are verified epsilon-separated post hoc; net certification is
-probabilistic against a Haar probe cloud (the exact covering number is
-bracketed between the certified net and the packing count).
+A packing is epsilon-separated by construction: the acceptance loop's
+decisions are the certificate, each accepted pair cleared by its bracket or
+by an exact distance, and verify_separated re-checks any point set from
+scratch.  Net certification is probabilistic against a Haar probe cloud
+(the exact covering number is bracketed between the certified net and the
+packing count).
 
 Each Haar cloud is drawn in one haar_samples call, in the stream order of
 one-at-a-time draws.  In the operator norm, on the bare group and on
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product as iter_product
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -168,7 +171,6 @@ def greedy_packing(
                 taken.append(j)
                 count += 1
     centers = centers[:count].copy()
-    verify_separated(space, centers, epsilon)
     return NetResult(
         kind="packing_tilde",
         epsilon=epsilon,
@@ -240,14 +242,6 @@ def greedy_net(
         probe_count=probe_budget,
         probe_max_dist=float(np.max(nearest)),
     )
-
-
-def volume_bounds(d: int, R: float, epsilon: float) -> Tuple[float, float]:
-    """Two-sided volume-comparison bound on the covering number of a ball of
-    radius R in real dimension d: ((R/eps)^d, (1 + 2R/eps)^d)."""
-    if epsilon <= 0 or epsilon > R:
-        raise InvalidArgumentError("need 0 < epsilon <= R")
-    return (R / epsilon) ** d, (1 + 2 * R / epsilon) ** d
 
 
 def linearized_cover(

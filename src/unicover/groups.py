@@ -61,9 +61,10 @@ class GroupSpec:
 class SubgroupSpec:
     """A closed connected subgroup, identified structurally: one subclass
     per kind, built by the constructor of that name.  Every kind defines
-    dim_in(group), project_H(x) (the orthogonal projection of a skew x
-    onto the subalgebra) and its CSV label; the attributes and methods
-    here are the defaults of a kind that lacks the fact in question."""
+    dim_in(group), project_H(x) (the orthogonal projection of a skew x, or
+    of each matrix of a stack, onto the subalgebra) and its CSV label; the
+    attributes and methods here are the defaults of a kind that lacks the
+    fact in question."""
 
     k = None  # grassmann and tensor_factor only
     kappa = None  # complement-projection norm, where the structure pins it
@@ -180,8 +181,9 @@ class Special(SubgroupSpec):
 
     def project_H(self, x: np.ndarray) -> np.ndarray:
         # su(n) inside u(n): remove the trace part
-        n = len(x)
-        return x - (np.trace(x) / n) * np.eye(n, dtype=x.dtype)
+        n = x.shape[-1]
+        tr = np.trace(x, axis1=-2, axis2=-1)[..., np.newaxis, np.newaxis]
+        return x - (tr / n) * np.eye(n, dtype=x.dtype)
 
     def exact_dists(self, a, b, norm):
         # (phi / n)(1, ..., 1), phi the principal phase of det(a* b),
@@ -218,8 +220,8 @@ class _Blocks(SubgroupSpec):
         # zero the off-diagonal blocks
         out = np.zeros_like(x)
         offset = 0
-        for b in self.blocks(len(x)):
-            out[offset : offset + b, offset : offset + b] = x[offset : offset + b, offset : offset + b]
+        for b in self.blocks(x.shape[-1]):
+            out[..., offset : offset + b, offset : offset + b] = x[..., offset : offset + b, offset : offset + b]
             offset += b
         return out
 
@@ -371,11 +373,11 @@ class TensorFactor(_Blocks):
 
     def project_H(self, x: np.ndarray) -> np.ndarray:
         k, m = self.k, self.m
-        blocks = [x[i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(m)]
+        blocks = [x[..., i * k : (i + 1) * k, i * k : (i + 1) * k] for i in range(m)]
         avg = sum(blocks) / m
         out = np.zeros_like(x)
         for i in range(m):
-            out[i * k : (i + 1) * k, i * k : (i + 1) * k] = avg
+            out[..., i * k : (i + 1) * k, i * k : (i + 1) * k] = avg
         return out
 
     def witness_phases(self, group, rng, search_budget):
@@ -519,34 +521,48 @@ def _skew_gaussian(group: GroupSpec, rng) -> np.ndarray:
     return 0.5 * (a - a.conj().T)
 
 
-def tangent_sample(space: HomSpace, component: str, radius: float, rng) -> SkewElement:
-    """Random skew element in the requested component ("full", "H" or "X"),
-    with operator norm uniform on (0, radius]."""
-    if radius <= 0:
+def tangent_samples(space: HomSpace, component: str, radius, rng, m: int) -> np.ndarray:
+    """m random skew elements of the component ("full", "H" or "X"), shape
+    (m, n, n), each with operator norm uniform on (0, radius]; radius is a
+    scalar or one value per element.
+
+    Per element the generator gives the Gaussian matrix of _skew_gaussian
+    (real, then imaginary part) and then the uniform norm fraction, in the
+    order of m single draws; the projection and the scaling are batched.
+    """
+    if np.any(np.asarray(radius) <= 0):
         raise InvalidArgumentError("radius must be positive")
+    if component not in ("full", "H", "X"):
+        raise InvalidArgumentError(f"unknown component {component!r}")
+    if component == "H" and space.dim_H == 0:
+        raise InvalidArgumentError("component H has dimension 0")
     rng = np.random.default_rng(rng)
-    for _ in range(100):
-        x = _skew_gaussian(space.group, rng)
-        if component == "H":
-            x = _project_H_mat(space, x)
-        elif component == "X":
-            x = x - _project_H_mat(space, x)
-        elif component != "full":
-            raise InvalidArgumentError(f"unknown component {component!r}")
-        nrm = opnorm(x)
-        if nrm > 1e-12:
-            break
-    else:
-        raise InvalidArgumentError("component appears to be trivial")
-    target = radius * rng.uniform(np.nextafter(0.0, 1.0), 1.0)
-    return SkewElement(x * (target / nrm), component)
+    n = space.n
+    parts = 2 if space.group.is_complex else 1
+    g = np.empty((m, parts, n, n))
+    frac = np.empty(m)
+    tiny = np.nextafter(0.0, 1.0)
+    for i in range(m):
+        rng.standard_normal(out=g[i])
+        frac[i] = rng.uniform(tiny, 1.0)
+    a = g[:, 0] + 1j * g[:, 1] if parts == 2 else g[:, 0]
+    x = 0.5 * (a - _adjoint(a))
+    if component != "full":
+        h = space.subgroup.project_H(x)
+        x = h if component == "H" else x - h
+    return x * (radius * frac / opnorm(x))[:, np.newaxis, np.newaxis]
+
+
+def tangent_sample(space: HomSpace, component: str, radius: float, rng) -> SkewElement:
+    """One random skew element of the component (see tangent_samples)."""
+    return SkewElement(tangent_samples(space, component, radius, rng, 1)[0], component)
 
 
 def _project_H_mat(space: HomSpace, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection (trace inner product) of a skew x onto the
     subalgebra, via the closed form of the subgroup's kind."""
     n = space.n
-    if x.shape != (n, n):
+    if x.shape[-2:] != (n, n):
         raise InvalidArgumentError(f"expected shape ({n}, {n}), got {x.shape}")
     return space.subgroup.project_H(x)
 

@@ -8,35 +8,19 @@ above via explicit witnesses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
 from .groups import (
-    GroupElement,
     HomSpace,
     _project_H_mat,
     _skew_gaussian,
-    haar_sample,
+    haar_samples,
     tangent_sample,
 )
-from .metrics import CosetPoint, quotient_dist_upper
-
-
-@dataclass(frozen=True)
-class InvariantReport:
-    """Known and sampled values of the invariants of one space."""
-
-    dim_M: int
-    kappa_known: Optional[float]
-    kappa_lower_bound: float
-    theta_known: Optional[float]
-    theta_units: Optional[str]  # "intrinsic" or "extrinsic"
-    theta_upper_bound: Optional[float]
-    diam_known: Optional[float]
-    diam_lower_bound: float
+from .metrics import _dists
 
 
 def kappa_known(space: HomSpace) -> Optional[float]:
@@ -95,11 +79,6 @@ def theta_units(space: HomSpace) -> Optional[str]:
     the extrinsic norm value at intrinsic distance pi; the rest are
     intrinsic."""
     return space.subgroup.theta_units
-
-
-def extrinsic_of_intrinsic(rho: float) -> float:
-    """Norm distance of two unitaries at intrinsic operator distance rho."""
-    return float(abs(1 - np.exp(1j * rho)))
 
 
 def _min_log_norm_diag(phases: np.ndarray, traceless: bool) -> float:
@@ -163,15 +142,11 @@ def diameter_estimate(
         raise InvalidArgumentError("samples must be >= 2")
     rng = np.random.default_rng(rng)
     g = space.group
-    base = CosetPoint(GroupElement(g.identity(), g), space)
+    base = g.identity()
     best = 0.0
     for _ in range(samples // 2):
-        u = haar_sample(g, rng)
-        v = haar_sample(g, rng)
-        d = quotient_dist_upper(
-            CosetPoint(u, space), CosetPoint(v, space), restarts=restarts, rng=rng
-        )
-        best = max(best, d)
+        u, v = haar_samples(g, rng, 2)
+        best = max(best, float(_dists(space, u, v, restarts, rng)))
     # sweeps along exp(t x), x in the complement with operator norm pi so
     # that t in (0, 1] reaches the antipode; the max over t is refined
     # locally after a coarse scan
@@ -180,9 +155,7 @@ def diameter_estimate(
         x = np.pi * x / opnorm(x)
 
         def dist_at(t):
-            u = GroupElement(expm_skew(t * x), g)
-            return quotient_dist_upper(base, CosetPoint(u, space),
-                                       restarts=restarts, rng=rng)
+            return float(_dists(space, base, expm_skew(t * x), restarts, rng))
 
         grid = np.linspace(1.0 / 16, 1.0, 16)
         vals = [dist_at(t) for t in grid]
@@ -200,24 +173,3 @@ def diameter_estimate(
             else:
                 hi = m2
     return best
-
-
-def invariant_report(
-    space: HomSpace, samples: int = 200, rng=0
-) -> InvariantReport:
-    """Bundle of known values and sampled bounds for one space."""
-    rng = np.random.default_rng(rng)
-    kl = kappa_lower(space, samples=samples, rng=rng)
-    tw = theta_witness_upper(space, search_budget=max(50, samples // 2), rng=rng)
-    dk = diameter_known(space)
-    dl = diameter_estimate(space, samples=max(8, samples // 8), rng=rng)
-    return InvariantReport(
-        dim_M=space.dim,
-        kappa_known=kappa_known(space),
-        kappa_lower_bound=kl,
-        theta_known=theta_known(space),
-        theta_units=theta_units(space),
-        theta_upper_bound=tw,
-        diam_known=dk,
-        diam_lower_bound=min(dl, np.pi),
-    )

@@ -1,5 +1,5 @@
 """Extrinsic, intrinsic and quotient distances on U(n), SO(n) and their
-homogeneous spaces; curve length and one-parameter-subgroup geodesics.
+homogeneous spaces, and the length of polygonal geodesic curves.
 
 The intrinsic metric induced by a unitarily invariant norm evaluates, on the
 group, to the gauge of the eigenphase vector of u*v (principal branch).  On a
@@ -29,7 +29,6 @@ from .matcore import (
     BranchAmbiguityError,
     InvalidArgumentError,
     NormSpec,
-    expm_skew,
     logm_unitary,
     principal_angles,
     schatten_norm,
@@ -109,11 +108,6 @@ def _polyline_length(pts: np.ndarray, norm: NormSpec) -> np.ndarray:
     return length
 
 
-def geodesic_point(u, x, t: float):
-    """The point u exp(t x) on the one-parameter-subgroup coset through u."""
-    return _mat(u) @ expm_skew(t * _mat(x))
-
-
 def grassmann_dist(e, f, norm: NormSpec = OPERATOR) -> float:
     """Distance between subspaces: the gauge applied to the principal-angle
     vector (operator norm: the largest principal angle).
@@ -139,9 +133,6 @@ class CosetPoint:
             object.__setattr__(self, "representative", GroupElement(_mat(rep), group))
         elif rep.group != group:
             raise InvalidArgumentError("representative lies in another group")
-
-    def same_coset(self, other: "CosetPoint") -> bool:
-        return quotient_dist_upper(self, other) <= 1e-6
 
 
 def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng=0) -> np.ndarray:

@@ -3,11 +3,12 @@ is built around: the phase identity between norm and geodesic distance, the
 exponential-map contraction constants, the commutator defect bound, the
 quotient lower-Lipschitz constants and geodesic minimality.
 
-Each check runs in two phases.  A plain loop first draws every random
-input of the whole sample, in the order the per-sample checks once drew
-them, so a seed gives the same inputs and leaves the generator in the same
-state; then the linear algebra for all samples runs as stacked kernel
-calls (expm_skew, opnorm, batched eigvals and SVD).
+Each check runs in two phases.  One call first draws every random input
+of the whole sample (groups.haar_samples for unitaries,
+groups.tangent_samples for skew elements), in the order the per-sample
+checks once drew them, so a seed gives the same inputs and leaves the
+generator in the same state; then the linear algebra for all samples runs
+as stacked kernel calls (expm_skew, opnorm, batched eigvals and SVD).
 
 Each check returns a CheckReport that serializes to JSON; the worst witness
 round-trips through base64 so failures can be replayed.  A witness is a copy
@@ -28,12 +29,11 @@ from .matcore import (
     FROBENIUS,
     OPERATOR,
     InvalidArgumentError,
-    _adjoint,
     _phase_dists,
     expm_skew,
     opnorm,
 )
-from .groups import GroupSpec, HomSpace, haar_samples, tangent_sample
+from .groups import GroupSpec, HomSpace, haar_samples, tangent_samples
 from .metrics import _dists, _polyline_length, intrinsic_dist
 from .invariants import kappa_known
 
@@ -80,27 +80,6 @@ def load_witness(witness_b64: str) -> Dict[str, np.ndarray]:
     """Decode a serialized worst-case witness back into arrays."""
     data = np.load(io.BytesIO(base64.b64decode(witness_b64)))
     return {k: data[k] for k in data.files}
-
-
-def _skew_balls(group: GroupSpec, radius, rng, m: int) -> np.ndarray:
-    """m skew elements, shape (m, n, n), each with operator norm uniform on
-    (0, radius]; radius is a scalar or one value per element.
-
-    Per element the generator gives the Gaussian matrix of _skew_gaussian
-    (real, then imaginary part) and then the uniform norm fraction, in the
-    order of m single draws; the scaling is one batched operator norm.
-    """
-    n = group.n
-    parts = 2 if group.is_complex else 1
-    g = np.empty((m, parts, n, n))
-    frac = np.empty(m)
-    tiny = np.nextafter(0.0, 1.0)
-    for i in range(m):
-        rng.standard_normal(out=g[i])
-        frac[i] = rng.uniform(tiny, 1.0)
-    a = g[:, 0] + 1j * g[:, 1] if group.is_complex else g[:, 0]
-    x = 0.5 * (a - _adjoint(a))
-    return x * (radius * frac / opnorm(x))[:, np.newaxis, np.newaxis]
 
 
 def _worst(dev: np.ndarray, floor: float, **stacks):
@@ -152,7 +131,7 @@ def check_lemma4(
     all difference ratios lie in [product bound, 1]."""
     bound = lemma4_product_bound(theta)
     rng = np.random.default_rng(rng)
-    balls = _skew_balls(GroupSpec("U", n), theta, rng, 2 * samples)
+    balls = tangent_samples(HomSpace(GroupSpec("U", n)), "full", theta, rng, 2 * samples)
     x, y = balls[0::2], balls[1::2]
     denom = opnorm(x - y)
     keep = np.flatnonzero(denom >= 1e-12)
@@ -196,7 +175,7 @@ def check_lemma5(
     if radius > 0.7:
         raise InvalidArgumentError("radius must keep distances branch-safe (<= 0.7)")
     rng = np.random.default_rng(rng)
-    balls = _skew_balls(GroupSpec("U", n), radius, rng, 2 * samples)
+    balls = tangent_samples(HomSpace(GroupSpec("U", n)), "full", radius, rng, 2 * samples)
     x, y = balls[0::2], balls[1::2]
     e = expm_skew(balls)
     exy = expm_skew(x + y)[:, np.newaxis]
@@ -251,15 +230,13 @@ def check_lemma10(
         )
     rng = np.random.default_rng(rng)
     g = space.group
-    x, xp = [], []
-    for _ in range(samples):
-        x.append(tangent_sample(space, "X", r, rng).matrix)
-        xp.append(
-            np.zeros_like(x[-1])
-            if x_prime_zero
-            else tangent_sample(space, "X", r, rng).matrix
-        )
-    x, xp = np.reshape(x, (samples, g.n, g.n)), np.reshape(xp, (samples, g.n, g.n))
+    if x_prime_zero:
+        x = tangent_samples(space, "X", r, rng, samples)
+        xp = np.zeros_like(x)
+    else:
+        # x and x' alternate in the stream, as in the per-sample loop
+        pairs = tangent_samples(space, "X", r, rng, 2 * samples)
+        x, xp = pairs[0::2], pairs[1::2]
     sep = opnorm(x - xp)
     keep = np.flatnonzero(sep >= 1e-12)
     d = _dists(space, expm_skew(x[keep]), expm_skew(xp[keep]))
@@ -293,7 +270,8 @@ def check_geodesic_minimality(
     # competitor, in the order they were once drawn one at a time
     kinks = competitors * (segments - 1)
     radius = np.tile(np.r_[np.pi - 0.1, np.full(kinks, 0.25)], samples)
-    balls = _skew_balls(GroupSpec("U", n), radius, rng, samples * (1 + kinks))
+    balls = tangent_samples(HomSpace(GroupSpec("U", n)), "full", radius, rng,
+                            samples * (1 + kinks))
     balls = balls.reshape(samples, 1 + kinks, n, n)
     x = balls[:, 0]
     ts = np.linspace(0.0, 1.0, segments + 1)

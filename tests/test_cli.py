@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unicover import entropy
+from unicover import cli, entropy
 from unicover.cli import CSV_COLUMNS, main, parse_space
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec
 
@@ -140,6 +140,27 @@ epsilon_grid = 0.5 0.25
         for r in rows:
             assert r[2] == ""
             assert float(r[3]) > 0
+
+    @pytest.mark.parametrize("kind", ["bounds", "verify_all"])
+    def test_tasks_without_invariant_columns_skip_kappa_search(
+            self, kind, tmp_path, monkeypatch):
+        # U(2)/SU(2) has no tabulated kappa, but only the tasks that write
+        # the invariant columns search for a bound on it
+        def refuse(*args, **kwargs):
+            raise AssertionError("kappa_lower ran")
+
+        monkeypatch.setattr(cli, "kappa_lower", refuse)
+        cfg = _write(tmp_path, f"""
+[space]
+group = U
+n = 2
+subgroup = special
+
+[task]
+kind = {kind}
+epsilon_grid = 0.5
+""")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_bounds_on_bare_group(self, tmp_path):
         cfg = _write(tmp_path, """

@@ -12,6 +12,7 @@ from unicover.groups import (
     HomSpace,
     SkewElement,
     SubgroupSpec,
+    _skew_gaussian,
     component_basis,
     haar_sample,
     haar_samples,
@@ -19,6 +20,7 @@ from unicover.groups import (
     project_X,
     skew_basis,
     tangent_sample,
+    tangent_samples,
 )
 
 
@@ -253,6 +255,67 @@ class TestTangentSample:
             tangent_sample(space, "X", -1.0, rng)
         with pytest.raises(InvalidArgumentError):
             tangent_sample(space, "Z", 1.0, rng)
+        with pytest.raises(InvalidArgumentError):
+            tangent_samples(space, "X", np.array([1.0, 0.0]), rng, 2)
+
+    @pytest.mark.parametrize("space", [
+        HomSpace(GroupSpec("U", 3)),
+        HomSpace(GroupSpec("SO", 2), SubgroupSpec.grassmann(1)),
+    ], ids=["U3", "SO2/grassmann(1)"])
+    def test_zero_dimensional_component_draws_nothing(self, space):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidArgumentError, match="dimension 0"):
+            tangent_samples(space, "H", 1.0, rng, 3)
+        with pytest.raises(InvalidArgumentError, match="dimension 0"):
+            tangent_sample(space, "H", 1.0, rng)
+        assert rng.bit_generator.state == state
+
+
+TANGENT_SPACES = {
+    "U3": HomSpace(GroupSpec("U", 3)),
+    "SO3": HomSpace(GroupSpec("SO", 3)),
+    "U3/special": HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+    "U4/grassmann(2)": HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2)),
+    "SO4/grassmann(1)": HomSpace(GroupSpec("SO", 4), SubgroupSpec.grassmann(1)),
+    "U4/block(1+1+2)": HomSpace(GroupSpec("U", 4), SubgroupSpec.block_diagonal([1, 1, 2])),
+    "SO4/block(1+1+2)": HomSpace(GroupSpec("SO", 4), SubgroupSpec.block_diagonal([1, 1, 2])),
+    "U4/tensor(2x2)": HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)),
+    "SO4/tensor(2x2)": HomSpace(GroupSpec("SO", 4), SubgroupSpec.tensor_factor(2, 2)),
+}
+TANGENT_CASES = [(name, comp) for name, space in TANGENT_SPACES.items()
+                 for comp in ("full", "H", "X") if comp != "H" or space.dim_H]
+
+
+def _reference_tangent(space, component, radius, rng):
+    """One draw as a per-sample loop makes it: the Gaussian skew matrix,
+    its projection onto the component, then the uniform norm fraction."""
+    x = _skew_gaussian(space.group, rng)
+    if component != "full":
+        h = project_H(space, x).matrix
+        x = h if component == "H" else x - h
+    target = radius * rng.uniform(np.nextafter(0.0, 1.0), 1.0)
+    return x * (target / opnorm(x))
+
+
+@pytest.mark.parametrize("per_element", [False, True], ids=["scalar", "per-element"])
+@pytest.mark.parametrize("name, component", TANGENT_CASES)
+def test_tangent_samples_equal_single_draws(name, component, per_element):
+    # the batch gives the bits of m tangent_sample calls, and of the
+    # per-sample reference, and leaves the generator where they leave it
+    space = TANGENT_SPACES[name]
+    m = 7
+    radius = np.linspace(0.1, 3.0, m) if per_element else 0.8
+    radii = radius if per_element else [radius] * m
+    rngs = [np.random.default_rng(11) for _ in range(3)]
+    got = tangent_samples(space, component, radius, rngs[0], m)
+    single = [tangent_sample(space, component, r, rngs[1]).matrix for r in radii]
+    reference = [_reference_tangent(space, component, r, rngs[2]) for r in radii]
+    assert got.shape == (m, space.n, space.n)
+    assert np.array_equal(got, np.array(single))
+    assert np.array_equal(got, np.array(reference))
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
 
 class TestElements:

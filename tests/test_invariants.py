@@ -6,11 +6,10 @@ import pytest
 
 from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_samples
+from unicover.entropy import theorem8_bounds
 from unicover.invariants import (
     diameter_estimate,
     diameter_known,
-    extrinsic_of_intrinsic,
-    invariant_report,
     kappa_known,
     kappa_lower,
     theta_known,
@@ -78,8 +77,10 @@ class TestTheta:
         assert theta_known(circle) is None
 
     def test_extrinsic_value_two_is_intrinsic_pi(self):
-        assert extrinsic_of_intrinsic(np.pi) == pytest.approx(2.0)
-        assert extrinsic_of_intrinsic(0.0) == 0.0
+        # the table's extrinsic theta 2 = |1 - exp(i pi)| is the intrinsic pi
+        three = HomSpace(GroupSpec("U", 3),
+                         SubgroupSpec.block_diagonal([1, 1, 1]))
+        assert theorem8_bounds(three, 0.5).theta == np.pi
 
     def test_special_witness_upper(self):
         # determinant-one subgroup: scalar witnesses give theta <= 2 pi / n
@@ -213,18 +214,3 @@ class TestDiameter:
     def test_invalid_samples(self):
         with pytest.raises(InvalidArgumentError):
             diameter_estimate(_grassmann("U", 3, 1), samples=1)
-
-
-class TestReport:
-    def test_report_consistency(self):
-        space = _grassmann("U", 3, 1)
-        rep = invariant_report(space, samples=40, rng=0)
-        assert rep.dim_M == space.dim
-        assert rep.kappa_known == 1.0
-        assert rep.kappa_lower_bound >= 1.0
-        assert abs(rep.kappa_lower_bound - 1.0) <= 1e-6
-        assert rep.theta_known == pytest.approx(np.pi)
-        assert rep.theta_units == "intrinsic"
-        assert rep.diam_known == pytest.approx(np.pi / 2)
-        assert rep.diam_lower_bound <= np.pi + 1e-9
-        assert rep.diam_lower_bound <= rep.diam_known + 1e-6

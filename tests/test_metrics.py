@@ -32,7 +32,6 @@ from unicover.metrics import (
     Curve,
     curve_length,
     extrinsic_dist,
-    geodesic_point,
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
@@ -128,7 +127,7 @@ class TestCurves:
     def test_geodesic_segment_length_equals_norm(self, rng):
         x = random_skew(3, rng)
         x *= 1.5 / opnorm(x)
-        pts = [geodesic_point(np.eye(3), x, t) for t in np.linspace(0, 1, 9)]
+        pts = [expm_skew(t * x) for t in np.linspace(0, 1, 9)]
         assert curve_length(Curve(pts)) == pytest.approx(1.5, abs=1e-9)
 
     def test_perturbed_curve_is_longer(self, rng):
@@ -137,7 +136,7 @@ class TestCurves:
         ts = np.linspace(0, 1, 9)
         pts = []
         for i, t in enumerate(ts):
-            p = geodesic_point(np.eye(3), x, t)
+            p = expm_skew(t * x)
             if 0 < i < 8:
                 w = random_skew(3, rng)
                 p = p @ expm_skew(0.2 * w / opnorm(w))
@@ -165,7 +164,7 @@ class TestCurves:
         x *= 2.0 / opnorm(x)
         curves = []
         for _ in range(4):
-            pts = [geodesic_point(np.eye(3), x, t) for t in np.linspace(0, 1, 9)]
+            pts = [expm_skew(t * x) for t in np.linspace(0, 1, 9)]
             kinks = [random_skew(3, rng) for _ in pts[1:-1]]
             bent = [p @ expm_skew(0.2 * w / opnorm(w)) for p, w in zip(pts[1:-1], kinks)]
             curves.append([pts[0], *bent, pts[-1]])
@@ -250,7 +249,6 @@ class TestQuotientDist:
         v = u @ expm_skew(h)
         d = quotient_dist_upper(_coset(GRASS, u), _coset(GRASS, v), rng=rng)
         assert d <= 1e-6
-        assert _coset(GRASS, u).same_coset(_coset(GRASS, v))
 
     def test_symmetry(self, rng):
         u = haar_sample(GRASS.group, rng).matrix

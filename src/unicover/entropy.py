@@ -36,7 +36,6 @@ from .matcore import InvalidArgumentError, expm_skew, opnorm
 from .groups import HomSpace, _elements, component_basis, haar_samples
 from .metrics import _bracket, _bracket_features, _dists
 from .invariants import (
-    diameter_estimate,
     diameter_known,
     kappa_known,
     theta_known,
@@ -101,15 +100,6 @@ def _all_farther(space, a, b, lo, hi, epsilon: float) -> np.ndarray:
     return far
 
 
-def _push(buf: np.ndarray, count: int, row) -> np.ndarray:
-    """buf with row stored at index count, doubled first when full."""
-    if count == len(buf):
-        grow = np.empty((max(count, BLOCK),) + buf.shape[1:], buf.dtype)
-        buf = np.concatenate([buf, grow])
-    buf[count] = row
-    return buf
-
-
 def _blocks(x: np.ndarray):
     """The consecutive slices of at most BLOCK rows of x."""
     return (x[i:i + BLOCK] for i in range(0, len(x), BLOCK))
@@ -149,13 +139,17 @@ def greedy_packing(
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
+    if sampler_budget < 0:
+        raise InvalidArgumentError("sampler_budget must be nonnegative")
     g = space.group
     rng = np.random.default_rng(rng)
     seeds = _elements(g, () if initial is None else initial)
     cands = haar_samples(g, rng, sampler_budget)
     blocks = chain(_blocks(seeds), _blocks(cands))
-    centers = np.empty((0, g.n, g.n), np.result_type(seeds, g.identity()))
-    feats = _bracket_features(space, centers)
+    # every candidate may be accepted, so these never need to grow
+    total = len(seeds) + sampler_budget
+    centers = np.empty((total, g.n, g.n), np.result_type(seeds, g.identity()))
+    feats = np.empty((total, _bracket_features(space, centers[:0]).shape[1]))
     count = 0
     for block in blocks:
         fb = _bracket_features(space, block)
@@ -166,8 +160,7 @@ def greedy_packing(
         for j in np.flatnonzero(far):
             if _all_farther(space, block[j:j + 1], block[taken],
                             lo[j:j + 1, taken], hi[j:j + 1, taken], epsilon)[0]:
-                centers = _push(centers, count, block[j])
-                feats = _push(feats, count, fb[j])
+                centers[count], feats[count] = block[j], fb[j]
                 taken.append(j)
                 count += 1
     centers = centers[:count].copy()
@@ -215,6 +208,8 @@ def greedy_net(
     might bring closer (lo < nearest + MARGIN)."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
+    if sampler_budget < 1 or probe_budget < 1:
+        raise InvalidArgumentError("sampler_budget and probe_budget must be positive")
     rng = np.random.default_rng(rng)
     probes = haar_samples(space.group, rng, probe_budget)
     feats = _bracket_features(space, probes)
@@ -253,9 +248,9 @@ def linearized_cover(
     subalgebra, pushed through exp and the quotient map (a contraction).
 
     Requires a space with known complement-projection norm equal to one
-    (the surjectivity of the scheme depends on it) unless overridden, and
-    the operator norm: the lattice ball, its reach and its mesh are all
-    measured in it.
+    (the surjectivity of the scheme depends on it) unless overridden, a
+    known diameter, and the operator norm: the lattice ball, its reach and
+    its mesh are all measured in it.
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
@@ -265,9 +260,11 @@ def linearized_cover(
         raise InvalidArgumentError(
             "linearized cover needs kappa = 1 (or an explicit override)"
         )
+    # a sampled diameter is a lower bound, the wrong side for the reach of
+    # a covering ball
     R = diameter_known(space)
     if R is None:
-        R = diameter_estimate(space)
+        raise InvalidArgumentError("linearized cover needs a known diameter")
     if epsilon >= R:
         return NetResult("net_Npp", epsilon, space.group.identity()[np.newaxis], 1, False)
     basis = component_basis(space, "X")
@@ -310,8 +307,12 @@ def certify_cover(
     MARGIN of that cap are measured.  Each pair is measured from the center,
     as greedy_net measures it, so a net certified on its own probe stream
     gives back its probe_max_dist."""
-    rng = np.random.default_rng(rng)
+    if probe_budget < 1:
+        raise InvalidArgumentError("probe_budget must be positive")
     centers = _elements(space.group, net.points)
+    if len(centers) == 0:
+        raise InvalidArgumentError("net has no centers")
+    rng = np.random.default_rng(rng)
     feats = _bracket_features(space, centers)
     worst = 0.0
     for block in _blocks(haar_samples(space.group, rng, probe_budget)):

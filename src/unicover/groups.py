@@ -111,7 +111,9 @@ class SubgroupSpec:
         return None
 
     def bracket_rows(self, x: np.ndarray):
-        """Complex per-point rows for metrics._bracket, or None."""
+        """Float per-point rows for sin2_bounds(fa, fb, group), which gives
+        lo <= sin^2(d / w) <= hi for each pair of rows of fa and fb in the
+        operator norm, as (lo, hi, w); None where the kind has no bracket."""
         return None
 
     def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
@@ -129,6 +131,21 @@ class SubgroupSpec:
     def full_block(self, n: int) -> int:
         """Size of the largest block carrying a full unitary factor."""
         return 0
+
+
+# Rounding bound delta on each product of feature rows that sin2_bounds
+# takes (e1, e2 and the sums s) for representatives unitary to rounding:
+# each is a sum of 2 n^2 products whose absolute values add to at most n,
+# so it is off by at most about 2 n^3 ulps, 1.4e-14 at n = 4 and 2e-13 at
+# n = 10.  It keeps lo <= d <= hi sound, and near 0 its square root, 1e-6,
+# is far wider than the 5e-8 floor of the Grassmann closed form.
+_BRACKET_SLACK = 1e-12
+# The Pluecker root r = sqrt(e1^2 - 4 e2) has an argument off by at most
+# 8 delta, and |sqrt(x) - sqrt(y)| <= |x - y| / sqrt(x) and <= sqrt(|x - y|),
+# so r is off by at most 8 delta / max(r, sqrt(8 delta)) and the largest
+# sin^2, 1 - (e1 - r) / 2, by half of delta plus that: at most about 1.4e-6
+# at a double root, about 1e-11 where the two angles are apart.
+_ROOT_FLOOR = np.sqrt(8 * _BRACKET_SLACK)
 
 
 @dataclass(frozen=True)
@@ -150,14 +167,18 @@ class Trivial(SubgroupSpec):
     exact_dists = staticmethod(_phase_dists)  # the eigenphases of a* b
 
     def bracket_rows(self, x):
-        # complex even on SO(n), so that real and complex stacks share a width
-        return np.asarray(x, dtype=complex).reshape(len(x), x.shape[-1] ** 2)
+        # the matrix itself, complex even when real (on SO(n), or a real
+        # stack of U(n) elements), so that every stack's rows share a width
+        n = x.shape[-1]
+        return np.ascontiguousarray(x, dtype=complex).reshape(len(x), n * n).view(float)
 
-    def bracket_terms(self, inner, group: GroupSpec):
-        n = group.n
-        if group.kind == "SO":
-            return (n - inner) / 4, n // 2, 2.0
-        return (n - inner) / 2, n, 2.0
+    def sin2_bounds(self, fa, fb, group: GroupSpec):
+        # ||a - b||_F^2 = 2n - 2 Re tr(a* b) is the sum of 4 sin^2(phi_j / 2)
+        # over the n eigenphases of a* b, and d = max |phi_j|; on SO(n) the
+        # phases come in pairs +-phi_j, so s sums m = floor(n / 2) terms
+        pairs = 1 if group.is_complex else 2
+        s = (group.n - fa @ fb.T) / (2 * pairs)
+        return (s - _BRACKET_SLACK) / (group.n // pairs), s + _BRACKET_SLACK, 2.0
 
     def diameter(self, group, norm):
         # -I on U(n); a rotation by pi in each 2-plane of SO(n)
@@ -282,38 +303,58 @@ class Grassmann(_Blocks):
     def blocks(self, n: int) -> Tuple[int, ...]:
         return (self.k, n - self.k)
 
+    def _frame(self, x):
+        # the smaller side's columns: the first k, or past k = n / 2 the
+        # last n - k, since a subspace and its complement have the same
+        # nonzero principal angles
+        k, n = self.k, x.shape[-1]
+        return x[..., :k] if 2 * k <= n else x[..., k:]
+
     def exact_dists(self, a, b, norm):
-        # the min(k, n - k) largest principal angles between the k-frames,
-        # each taken twice (the complement element rotating one subspace
-        # onto the other has these singular values)
-        k, n = self.k, a.shape[-1]
-        gram = np.einsum("...ji,...jl->...il", a[..., :k].conj(), b[..., :k])
+        # the principal angles between the frames, each taken twice (the
+        # complement element rotating one subspace onto the other has these
+        # singular values)
+        gram = np.einsum("...ji,...jl->...il", self._frame(a).conj(), self._frame(b))
         s = np.linalg.svd(gram, compute_uv=False)
-        # s descends, so the largest angles come from its tail; past
-        # k = n / 2 the first 2k - n cosines are one
-        angles = np.arccos(np.clip(s[..., max(0, 2 * k - n):], 0.0, 1.0))
+        angles = np.arccos(np.clip(s, 0.0, 1.0))
         return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
 
     def bracket_rows(self, x):
-        # the projector E E* onto the span of the smaller side's frame E:
-        # the first k columns, or past k = n / 2 the last n - k, since a
-        # subspace and its complement have the same nonzero principal
-        # angles; for a 2-frame (e, f) also the wedge e f^T - f e^T, whose
-        # entries above the diagonal are the Pluecker coordinates of the
-        # span, so that <W_a, W_b> = 2 det(E_a* E_b) (Cauchy-Binet).  Its
-        # sign on SO(n) carries the orientation.
+        # the projector E E* onto the span of the frame E and, for a
+        # 2-frame (e, f), the wedge e f^T - f e^T, whose entries above the
+        # diagonal are the Pluecker coordinates of the span (its sign on
+        # SO(n) carries the orientation)
         x = np.asarray(x, dtype=complex)
-        k, n = self.k, x.shape[-1]
-        e = x[..., :k] if 2 * k <= n else x[..., k:]
+        e, n = self._frame(x), x.shape[-1]
         rows = [np.einsum("mik,mjk->mij", e, e.conj())]
         if e.shape[-1] == 2:
             outer = e[:, :, 0, np.newaxis] * e[:, np.newaxis, :, 1]
             rows.append(outer - outer.transpose(0, 2, 1))
-        return np.concatenate(rows, axis=1).reshape(len(x), len(rows) * n * n)
+        return np.concatenate(rows, axis=1).reshape(len(x), len(rows) * n * n).view(float)
 
-    def bracket_terms(self, inner, group: GroupSpec):
+    def sin2_bounds(self, fa, fb, group: GroupSpec):
+        # For the m = min(k, n - k) columns of the frames, e1 = <P_a, P_b>
+        # = ||E_a* E_b||_F^2 sums the squared cosines c_i of the principal
+        # angles, s = m - e1 their sin^2 (the chordal distance of Conway,
+        # Hardin and Sloane) and d is the largest angle, so sin^2 d lies in
+        # [s/m, s].  For m = 2, <W_a, W_b> = 2 det(E_a* E_b) (Cauchy-Binet)
+        # gives e2 = |det(E_a* E_b)|^2 = c_1 c_2 too, so sin^2 d =
+        # 1 - (e1 - sqrt(e1^2 - 4 e2)) / 2 to rounding (see _ROOT_FLOOR;
+        # up to about 1e-3 in angle where the two angles meet near d = 0 or
+        # d = pi/2, where arcsin of the square root is steep).  exact_dists
+        # reads the singular values of the same E_a* E_b, so the bracket
+        # holds also for points unitary only to TOL_ALG.
         m = min(self.k, group.n - self.k)
-        return m - inner, m, 1.0
+        cols = 2 * group.n ** 2  # the floats of the projector
+        e1 = fa[:, :cols] @ fb[:, :cols].T
+        if m != 2:
+            s = m - e1
+            return (s - _BRACKET_SLACK) / m, s + _BRACKET_SLACK, 1.0
+        h = fa[:, cols:].view(complex).conj() @ fb[:, cols:].view(complex).T
+        root = np.sqrt(np.maximum(e1 * e1 - (h.real ** 2 + h.imag ** 2), 0.0))
+        x = 1.0 - (e1 - root) / 2
+        slack = (_BRACKET_SLACK + 8 * _BRACKET_SLACK / np.maximum(root, _ROOT_FLOOR)) / 2
+        return x - slack, x + slack, 1.0
 
     def diameter(self, group, norm):
         # a frame carried onto its orthogonal complement: every angle pi/2

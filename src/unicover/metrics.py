@@ -155,74 +155,25 @@ def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng
     ]).reshape(shape)
 
 
-# Rounding bound delta on each product the bracket takes (e1, e2 and the
-# sums s below) for representatives unitary to rounding: each is a sum of
-# 2 n^2 products whose absolute values add to at most n, so it is off by at
-# most about 2 n^3 ulps, 1.4e-14 at n = 4 and 2e-13 at n = 10.  It keeps
-# lo <= d <= hi sound, and near 0 its square root, 1e-6, is far wider than
-# the 5e-8 floor of the Grassmann closed form.
-_BRACKET_SLACK = 1e-12
-# The Pluecker root r = sqrt(e1^2 - 4 e2) has an argument off by at most
-# 8 delta, and |sqrt(x) - sqrt(y)| <= |x - y| / sqrt(x) and <= sqrt(|x - y|),
-# so r is off by at most 8 delta / max(r, sqrt(8 delta)) and the largest
-# sin^2, 1 - (e1 - r) / 2, by half of delta plus that: at most about 1.4e-6
-# at a double root, about 1e-11 where the two angles are apart.
-_ROOT_FLOOR = np.sqrt(8 * _BRACKET_SLACK)
-
-
 def _bracket_features(space: HomSpace, x: np.ndarray) -> np.ndarray:
-    """Per-point feature rows for _bracket: the real and imaginary parts of
-    the matrix itself (trivial), or of the projector onto the span of the
-    smaller side's frame (grassmann(k)) followed, for a 2-frame, by its
-    wedge, the antisymmetric matrix of its Pluecker coordinates, flattened.
-    Zero-width rows where the space has no bracket."""
+    """Per-point feature rows for _bracket in the operator norm, in the
+    layout of the subgroup's kind (bracket_rows); zero-width rows where the
+    space has no bracket."""
     rows = space.subgroup.bracket_rows(x) if space.norm.is_operator else None
-    if rows is None:
-        return np.zeros((len(x), 0))
-    # a complex array viewed as floats interleaves real and imaginary parts
-    return np.ascontiguousarray(rows).view(float)
+    return np.zeros((len(x), 0)) if rows is None else rows
 
 
 def _bracket(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
     """Bounds lo <= d <= hi on the operator-norm distance between each
     point of fa and each point of fb (their _bracket_features rows), as two
-    (len(fa), len(fb)) arrays from one GEMM over the projector (or matrix)
-    columns and, for a Grassmannian of 2-frames, one over the wedge
-    columns; lo = 0 and hi = inf where the space has no bracket.
-
-    The subgroup's kind gives (s, m, w) from the first inner products: s
-    is a sum of m nonnegative terms, the largest of which is sin^2(d / w),
-    so sin^2(d / w) lies in [s/m, s]:
-    - grassmann(k): for the frames of the smaller side, m = min(k, n - k)
-      columns, e1 = <P_a, P_b> is the sum of the squared cosines c_i of
-      the principal angles, s = m - e1 the sum of their sin^2 (the chordal
-      distance of Conway, Hardin and Sloane), and d is the largest; w = 1.
-      For m = 2 the wedge product <W_a, W_b> = 2 det(E_a* E_b) gives
-      e2 = |det(E_a* E_b)|^2 = c_1 c_2 as well (Cauchy-Binet), so
-      sin^2 d = 1 - (e1 - sqrt(e1^2 - 4 e2)) / 2 exactly,
-      to rounding (see _ROOT_FLOOR; up to about 1e-3 in angle where the
-      two angles meet near d = 0 or d = pi/2, where arcsin of the square
-      root is steep).
-    - trivial on U(n): ||a - b||_F^2 = 2n - 2 Re tr(a* b) is the sum of
-      4 sin^2(phi_j / 2) over the n eigenphases of a* b, and d = max
-      |phi_j|; s = ||a - b||_F^2 / 4, m = n, w = 2.
-    - trivial on SO(n): the phases come in pairs +-phi_j, so s =
-      ||a - b||_F^2 / 8 sums m = floor(n / 2) terms; w = 2.
-    """
-    shape = (len(fa), len(fb))
+    (len(fa), len(fb)) arrays: the subgroup's kind bounds sin^2(d / w) by
+    products of the rows (sin2_bounds), and w arcsin of the square root
+    turns them into distances; lo = 0 and hi = inf where the space has no
+    bracket."""
     if fa.shape[1] == 0:
+        shape = (len(fa), len(fb))
         return np.zeros(shape), np.full(shape, np.inf)
-    cols = 2 * space.n ** 2  # the floats of one n x n complex matrix
-    inner = fa[:, :cols] @ fb[:, :cols].T
-    s, m, w = space.subgroup.bracket_terms(inner, space.group)
-    if fa.shape[1] == cols:
-        lo, hi = (s - _BRACKET_SLACK) / m, s + _BRACKET_SLACK
-    else:
-        h = fa[:, cols:].view(complex).conj() @ fb[:, cols:].view(complex).T
-        root = np.sqrt(np.maximum(inner * inner - (h.real ** 2 + h.imag ** 2), 0.0))
-        x = 1.0 - (inner - root) / 2
-        slack = (_BRACKET_SLACK + 8 * _BRACKET_SLACK / np.maximum(root, _ROOT_FLOOR)) / 2
-        lo, hi = x - slack, x + slack
+    lo, hi, w = space.subgroup.sin2_bounds(fa, fb, space.group)
     lo = w * np.arcsin(np.sqrt(np.clip(lo, 0.0, 1.0)))
     hi = w * np.arcsin(np.sqrt(np.clip(hi, 0.0, 1.0)))
     return lo, hi

@@ -260,12 +260,20 @@ seed = 0
 """
 
 
-@pytest.mark.parametrize("seed", ["3", "11"])
-def test_bracket_leaves_cover_curve_bytes_unchanged(seed, tmp_path, monkeypatch):
+# past k = n / 2 the Grassmann frame is the last n - k columns
+U5_G3_COVER = BENCH_COVER.replace("n = 4", "n = 5").replace("k = 2", "k = 3")
+
+
+@pytest.mark.parametrize("seed, config", [
+    pytest.param("3", BENCH_COVER, id="3"),
+    pytest.param("11", BENCH_COVER, id="11"),
+    pytest.param("3", U5_G3_COVER, id="u5_grassmann3-3"),
+])
+def test_bracket_leaves_cover_curve_bytes_unchanged(seed, config, tmp_path, monkeypatch):
     """The bracket only decides which pairs skip the exact distance: with
     zero-width feature rows (no bracket, every pair measured) the loops give
     the same CSV bytes, so an unsound bracket shows here."""
-    cfg = _write(tmp_path, BENCH_COVER)
+    cfg = _write(tmp_path, config)
     out = {}
     for bracketed in (True, False):
         if not bracketed:

@@ -347,6 +347,19 @@ class TestLinearizedCover:
         inf = HomSpace(G31_REAL.group, G31_REAL.subgroup, NormSpec.schatten(np.inf))
         assert linearized_cover(inf, 0.8).count == linearized_cover(G31_REAL, 0.8).count
 
+    @pytest.mark.parametrize("space, epsilon", [
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])), 0.8),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])), 2.0),
+        (HomSpace(GroupSpec("SO", 4), SubgroupSpec.tensor_factor(2, 2)), 1.0),
+    ], ids=["U3-block111-0.8", "U3-block111-2.0", "SO4-tensor2x2-1.0"])
+    def test_refuses_unknown_diameter_at_once(self, space, epsilon):
+        # a sampled diameter is a lower bound, the wrong side for the reach
+        # of a covering ball, so no search for one may run
+        t0 = time.perf_counter()
+        with pytest.raises(InvalidArgumentError, match="diameter"):
+            linearized_cover(space, epsilon, override_kappa_gate=True)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_refuses_oversized_lattice(self):
         # 41^8 lattice points on U(4)/G(4,2) at epsilon = 0.45
         t0 = time.perf_counter()
@@ -481,3 +494,22 @@ class TestEntryChecks:
         assert greedy_packing(G42, 0.5, 0, initial=[]).count == 0
         verify_separated(G42, [], 0.5)
         assert dists_to_centers(G42, np.eye(4), []).shape == (0,)
+
+    def test_budgets_are_checked_before_any_draw(self):
+        # a net needs a center and a probe, and a certificate a probe and a
+        # center; a packing may hold only its initial candidates
+        net = greedy_net(G42, 0.9, 5, 20, rng=0)
+        empty = entropy.NetResult("net_Npp", 0.9, np.empty((0, 4, 4)), 0, False)
+        calls = {
+            "greedy_net(probe_budget=0)": lambda rng: greedy_net(G42, 0.9, 5, 0, rng=rng),
+            "greedy_net(sampler_budget=0)": lambda rng: greedy_net(G42, 0.9, 0, 20, rng=rng),
+            "greedy_packing(sampler_budget=-1)": lambda rng: greedy_packing(G42, 0.9, -1, rng=rng),
+            "certify_cover(probe_budget=0)": lambda rng: certify_cover(G42, net, 0, rng=rng),
+            "certify_cover(empty net)": lambda rng: certify_cover(G42, empty, 20, rng=rng),
+        }
+        for name, call in calls.items():
+            rng = np.random.default_rng(5)
+            with pytest.raises(InvalidArgumentError):
+                call(rng)
+                pytest.fail(f"{name} was accepted")
+            assert rng.random() == np.random.default_rng(5).random(), name

@@ -21,6 +21,7 @@ from unicover.groups import (
     GroupSpec,
     HomSpace,
     SubgroupSpec,
+    _elements,
     _project_H_mat,
     component_basis,
     haar_sample,
@@ -479,6 +480,26 @@ class TestBracket:
             assert np.all(hi - lo <= 1e-5)
         else:  # only [s/m, s]
             assert np.max(hi - lo) > 1e-2
+
+    @pytest.mark.parametrize("space", [
+        HomSpace(GroupSpec("U", n), SubgroupSpec.grassmann(k)) for n, k in [(3, 2), (5, 3), (5, 4)]
+    ], ids=_space_id)
+    def test_contains_exact_off_unitary(self, space):
+        # the element check accepts a unitarity defect up to TOL_ALG: move
+        # Haar points to a defect of 9e-11 by u -> u (I + t H), H Hermitian
+        # with ||H|| = 1; past k = n / 2 the bracket and the exact distance
+        # must still read one frame, so the bracket holds with no tolerance
+        rng = np.random.default_rng(21)
+        n = space.n
+        pts = []
+        for u in haar_samples(space.group, rng, 800):
+            z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = z + z.conj().T
+            pts.append(u @ (np.eye(n) + 4.5e-11 / opnorm(h) * h))
+        pts = _elements(space.group, np.array(pts))
+        assert np.max(opnorm(pts.conj().transpose(0, 2, 1) @ pts - np.eye(n))) > 8e-11
+        lo, hi, d = _bracket_pairs(space, pts[:400], pts[400:])
+        assert np.all(lo <= d) and np.all(d <= hi)
 
     @pytest.mark.parametrize("space", BRACKET_SPACES, ids=_space_id)
     def test_self_pairs_get_zero_lower_bound(self, space):

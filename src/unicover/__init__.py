@@ -49,6 +49,7 @@ from .entropy import (
     BoundReport,
     NetResult,
     certify_cover,
+    greedy_curve,
     greedy_net,
     greedy_packing,
     linearized_cover,

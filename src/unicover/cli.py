@@ -36,7 +36,7 @@ import numpy as np
 from .groups import GroupSpec, HomSpace, SubgroupSpec
 from .matcore import InvalidArgumentError
 from .invariants import diameter_known, kappa_known, kappa_lower, theta_known
-from .entropy import chain_consistent, greedy_net, greedy_packing, theorem8_bounds
+from .entropy import chain_consistent, greedy_curve, theorem8_bounds
 from . import verify as verify_mod
 
 CSV_COLUMNS = [
@@ -197,33 +197,21 @@ def run_task(space: HomSpace, task: dict, out_dir: str) -> int:
         _write_csv(os.path.join(out_dir, "invariants.csv"), rows)
         return 0
 
-    # packing_curve / cover_curve
+    # packing_curve / cover_curve: each packing is seeded with the matched
+    # net's centers and the packing at the previous (larger) epsilon, both
+    # epsilon-separated, so the chain count comparisons hold by construction
+    probe_budget = task["probe_budget"] if kind == "cover_curve" else None
+    curve = greedy_curve(space, task["epsilon_grid"], task["budget"], probe_budget, rng=seed)
     rows = []
-    prev_pack = None
-    for eps in task["epsilon_grid"]:
-        net = None
-        if kind == "cover_curve":
-            net = greedy_net(space, eps, task["budget"],
-                             task["probe_budget"], rng=seed)
-        # seed the packing with the matched net's centers and the packing at
-        # the previous (larger) epsilon: both are epsilon-separated, so the
-        # chain count comparisons hold by construction
-        initial = [p for r in (net, prev_pack) if r is not None for p in r.points]
-        pack = greedy_packing(space, eps, task["budget"], rng=seed,
-                              initial=initial or None)
-        prev_pack = pack
-        rows.append(dict(space_id=sid, epsilon=f"{eps:.12g}",
-                         quantity_kind="Ntilde", count=pack.count,
-                         probe_max_dist="", seed=seed,
-                         budget=task["budget"], **inv))
+    for eps, (pack, net) in zip(task["epsilon_grid"], curve):
+        row = dict(space_id=sid, epsilon=f"{eps:.12g}", seed=seed, budget=task["budget"], **inv)
+        rows.append(dict(row, quantity_kind="Ntilde", count=pack.count, probe_max_dist=""))
         if net is not None:
             if not chain_consistent(net, pack):
                 print(f"WARN chain: net count {net.count} > packing "
                       f"{pack.count} at eps={eps}", file=sys.stderr)
-            rows.append(dict(space_id=sid, epsilon=f"{eps:.12g}",
-                             quantity_kind="Npp_certified", count=net.count,
-                             probe_max_dist=f"{net.probe_max_dist:.12g}",
-                             seed=seed, budget=task["budget"], **inv))
+            rows.append(dict(row, quantity_kind="Npp_certified", count=net.count,
+                             probe_max_dist=f"{net.probe_max_dist:.12g}"))
     name = "packing_curve.csv" if kind == "packing_curve" else "cover_curve.csv"
     _write_csv(os.path.join(out_dir, name), rows)
     return 0

@@ -10,14 +10,16 @@ scratch.  Net certification is probabilistic against a Haar probe cloud
 packing count).
 
 Each Haar cloud is drawn in one haar_samples call, in the stream order of
-one-at-a-time draws.  In the operator norm, on the bare group and on
-Grassmannians, the loops first bound every pair by metrics._bracket
-(lo <= d <= hi, from products of feature rows; exact to rounding on the
-Grassmannians with min(k, n - k) <= 2) and settle the pairs that clear
-epsilon, or the distance in question, by MARGIN; only the remaining pairs
-reach the exact distance.  Every decision near epsilon and every reported
-value is an exact distance, so the results are those of the exhaustive
-loops.  On spaces with no bracket every pair is measured.
+one-at-a-time draws.  greedy_curve draws, checks and featurizes one cloud
+for a whole epsilon grid; each epsilon's net there is a prefix of one
+farthest-point order, which does not depend on epsilon.  In the operator
+norm, on the bare group and on Grassmannians, the loops first bound every
+pair by metrics._bracket (lo <= d <= hi, from products of feature rows;
+exact to rounding on the Grassmannians with min(k, n - k) <= 2) and settle
+the pairs that clear epsilon, or the distance in question, by MARGIN; only
+the remaining pairs reach the exact distance.  Every decision near epsilon
+and every reported value is an exact distance, so the results are those of
+the exhaustive loops.  On spaces with no bracket every pair is measured.
 
 Each public entry point checks the points a caller passes once, with
 GroupElement's rule (finite, unitary, and on SO(n) real with determinant
@@ -130,12 +132,6 @@ def greedy_packing(
     (e.g. the centers of a matched net, or a packing at a larger epsilon)
     nests the constructions so the count comparisons of the
     covering/packing chain hold by construction.
-
-    Candidates are taken BLOCK at a time and checked against the centers
-    accepted before the block (the bracket first, then one exact call for
-    the undecided pairs); the survivors are then checked in order against
-    the centers the block itself has accepted, so the accepted set is the
-    one-at-a-time loop's.
     """
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
@@ -144,33 +140,41 @@ def greedy_packing(
     g = space.group
     rng = np.random.default_rng(rng)
     seeds = _elements(g, () if initial is None else initial)
-    cands = haar_samples(g, rng, sampler_budget)
-    blocks = chain(_blocks(seeds), _blocks(cands))
-    # every candidate may be accepted, so these never need to grow
-    total = len(seeds) + sampler_budget
-    centers = np.empty((total, g.n, g.n), np.result_type(seeds, g.identity()))
-    feats = np.empty((total, _bracket_features(space, centers[:0]).shape[1]))
+    points = np.concatenate([seeds, haar_samples(g, rng, sampler_budget)],
+                            dtype=np.result_type(seeds, g.identity()))
+    rows = np.arange(len(points))
+    kept = _pack(space, points, _bracket_features(space, points),
+                 rows[:len(seeds)], rows[len(seeds):], epsilon)
+    return NetResult("packing_tilde", epsilon, points[kept], len(kept), True)
+
+
+def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
+    """The rows of points (feats: their _bracket_features rows) that the
+    greedy packing accepts from the rows seeds, then the rows cands.  Rows
+    are taken BLOCK at a time (seeds and cands in separate blocks) and
+    checked against the points accepted before the block (the bracket
+    first, then one exact call for the undecided pairs); the survivors are
+    then checked in order against the points the block itself accepted, so
+    the accepted set is the one-at-a-time loop's."""
+    # every row may be accepted, so these never need to grow
+    total = len(seeds) + len(cands)
+    centers = np.empty((total,) + points.shape[1:], points.dtype)
+    cfeats = np.empty((total, feats.shape[1]))
+    kept = np.empty(total, int)
     count = 0
-    for block in blocks:
-        fb = _bracket_features(space, block)
-        lo, hi = _bracket(space, fb, feats[:count])
+    for rows in chain(_blocks(seeds), _blocks(cands)):
+        block, fb = points[rows], feats[rows]
+        lo, hi = _bracket(space, fb, cfeats[:count])
         far = _all_farther(space, block, centers[:count], lo, hi, epsilon)
         lo, hi = _bracket(space, fb, fb)
         taken = []  # rows of the block accepted so far
         for j in np.flatnonzero(far):
             if _all_farther(space, block[j:j + 1], block[taken],
                             lo[j:j + 1, taken], hi[j:j + 1, taken], epsilon)[0]:
-                centers[count], feats[count] = block[j], fb[j]
+                centers[count], cfeats[count], kept[count] = block[j], fb[j], rows[j]
                 taken.append(j)
                 count += 1
-    centers = centers[:count].copy()
-    return NetResult(
-        kind="packing_tilde",
-        epsilon=epsilon,
-        points=centers,
-        count=count,
-        budget_exhausted=True,
-    )
+    return kept[:count]
 
 
 def verify_separated(space: HomSpace, centers, epsilon: float) -> None:
@@ -203,40 +207,82 @@ def greedy_net(
 ) -> NetResult:
     """Empirically certified net with centers in the space: farthest-point
     insertion over a Haar probe cloud until every probe lies within
-    epsilon * (1 + NET_SLACK) of a center, or the center budget runs out.  A
-    new center is measured exactly only against the probes its bracket
-    might bring closer (lo < nearest + MARGIN)."""
+    epsilon * (1 + NET_SLACK) of a center, or the center budget runs out.
+    The insertion order does not depend on epsilon, only where it stops, so
+    the net at a larger epsilon is a prefix of the net at a smaller one."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
     if sampler_budget < 1 or probe_budget < 1:
         raise InvalidArgumentError("sampler_budget and probe_budget must be positive")
-    rng = np.random.default_rng(rng)
-    probes = haar_samples(space.group, rng, probe_budget)
+    probes = haar_samples(space.group, np.random.default_rng(rng), probe_budget)
     feats = _bracket_features(space, probes)
-    chosen = [0]
-    nearest = np.full(probe_budget, np.inf)
-    exhausted = False
+    return _net(probes, *_farthest_points(space, probes, feats, sampler_budget, epsilon), epsilon)
+
+
+def _farthest_points(space, probes, feats, budget: int, epsilon: float):
+    """The chosen rows of farthest-point insertion over the probes (feats:
+    their _bracket_features rows) from probe 0, and after each insertion
+    the probes' largest distance to a chosen row; it stops at a radius of
+    epsilon * (1 + NET_SLACK) or budget rows.  A new row is measured exactly
+    only against the probes its bracket might bring closer."""
+    chosen, radii = [0], []
+    nearest = np.full(len(probes), np.inf)
     while True:
         c = chosen[-1]
         lo, _ = _bracket(space, feats[c:c + 1], feats)
         near = np.flatnonzero(lo[0] < nearest + MARGIN)
         nearest[near] = np.minimum(nearest[near], _dists(space, probes[c], probes[near]))
         worst = int(np.argmax(nearest))
-        if nearest[worst] <= epsilon * (1.0 + NET_SLACK):
-            break
-        if len(chosen) >= sampler_budget:
-            exhausted = True
-            break
+        radii.append(float(nearest[worst]))
+        if radii[-1] <= epsilon * (1.0 + NET_SLACK) or len(chosen) >= budget:
+            return chosen, radii
         chosen.append(worst)
-    return NetResult(
-        kind="net_Npp",
-        epsilon=epsilon,
-        points=probes[chosen],
-        count=len(chosen),
-        budget_exhausted=exhausted,
-        probe_count=probe_budget,
-        probe_max_dist=float(np.max(nearest)),
-    )
+
+
+def _net(probes, chosen, radii, epsilon: float) -> NetResult:
+    """The net at epsilon from a _farthest_points run to epsilon or below:
+    the shortest prefix of its rows whose radius is within epsilon * (1 +
+    NET_SLACK), or all of them, the budget exhausted."""
+    slack = epsilon * (1.0 + NET_SLACK)
+    k = next((i + 1 for i, r in enumerate(radii) if r <= slack), len(radii))
+    return NetResult("net_Npp", epsilon, probes[chosen[:k]], k, radii[k - 1] > slack,
+                     len(probes), radii[k - 1])
+
+
+def greedy_curve(
+    space: HomSpace,
+    epsilon_grid,
+    budget: int,
+    probe_budget: Optional[int] = None,
+    rng=0,
+) -> list:
+    """Per epsilon of the grid, in its order, the pair (packing, net or
+    None): greedy_net(space, epsilon, budget, probe_budget, rng) with a
+    probe_budget, and greedy_packing(space, epsilon, budget, rng, initial)
+    seeded with that net's centers and the previous epsilon's packing, so
+    the chain count comparisons hold by construction.  For an integer seed
+    the results equal those calls', from one Haar cloud of max(budget,
+    probe_budget) points (the first probe_budget are the probes, the first
+    budget the candidates) checked and featurized once, and one
+    farthest-point run to the smallest epsilon."""
+    grid = [float(e) for e in epsilon_grid]
+    if not grid or min(grid) <= 0:
+        raise InvalidArgumentError("epsilon_grid must be nonempty and positive")
+    if budget < 1 or (probe_budget is not None and probe_budget < 1):
+        raise InvalidArgumentError("budget and probe_budget must be positive")
+    cloud = haar_samples(space.group, np.random.default_rng(rng),
+                         max(budget, probe_budget or 0))
+    feats = _bracket_features(space, cloud)
+    if probe_budget is not None:
+        probes = cloud[:probe_budget]
+        order = _farthest_points(space, probes, feats[:probe_budget], budget, min(grid))
+    curve, kept = [], np.empty(0, int)
+    for eps in grid:
+        net = None if probe_budget is None else _net(probes, *order, eps)
+        seeds = kept if net is None else np.concatenate([order[0][:net.count], kept])
+        kept = _pack(space, cloud, feats, seeds, np.arange(budget), eps)
+        curve.append((NetResult("packing_tilde", eps, cloud[kept], len(kept), True), net))
+    return curve
 
 
 def linearized_cover(
@@ -289,13 +335,7 @@ def linearized_cover(
         if opnorm(x) > R:
             continue
         centers.append(expm_skew(x))
-    return NetResult(
-        kind="net_Npp",
-        epsilon=epsilon,
-        points=np.array(centers),
-        count=len(centers),
-        budget_exhausted=False,
-    )
+    return NetResult("net_Npp", epsilon, np.array(centers), len(centers), False)
 
 
 def certify_cover(

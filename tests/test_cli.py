@@ -274,15 +274,37 @@ def test_bracket_leaves_cover_curve_bytes_unchanged(seed, config, tmp_path, monk
     zero-width feature rows (no bracket, every pair measured) the loops give
     the same CSV bytes, so an unsound bracket shows here."""
     cfg = _write(tmp_path, config)
-    out = {}
+    out, featurized = {}, []
+
+    def bare(space, x):
+        featurized.append(len(x))
+        return np.zeros((len(x), 0))
+
     for bracketed in (True, False):
         if not bracketed:
-            monkeypatch.setattr(entropy, "_bracket_features",
-                                lambda space, x: np.zeros((len(x), 0)))
+            monkeypatch.setattr(entropy, "_bracket_features", bare)
         out[bracketed] = tmp_path / str(bracketed)
         assert main(["run", cfg, "--seed", seed, "--out-dir", str(out[bracketed])]) == 0
+    # the bracketless run featurized the whole cloud through the patched
+    # function, so it ran without a bracket
+    assert featurized == [700]
     csv = [(out[b] / "cover_curve.csv").read_bytes() for b in (True, False)]
     assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(BENCH_COVER, id="cover"),
+    pytest.param(G31_PACKING, id="packing"),
+])
+def test_one_haar_cloud_per_curve(config, tmp_path, monkeypatch):
+    """A curve draws one cloud for its whole grid: the nets' probes and
+    every packing's candidates are its rows."""
+    draws = []
+    real = entropy.haar_samples
+    monkeypatch.setattr(entropy, "haar_samples",
+                        lambda group, rng, m: draws.append(m) or real(group, rng, m))
+    assert main(["run", _write(tmp_path, config), "--out-dir", str(tmp_path)]) == 0
+    assert len(draws) == 1
 
 
 GOLDEN = Path(__file__).resolve().parent / "data"

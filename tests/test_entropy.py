@@ -15,6 +15,7 @@ from unicover.entropy import (
     BLOCK,
     chain_consistent,
     certify_cover,
+    greedy_curve,
     greedy_net,
     greedy_packing,
     dists_to_centers,
@@ -290,6 +291,59 @@ class TestBlockedLoops:
         assert np.array_equal(pack.points, pack0.points)
 
 
+class TestGreedyCurve:
+    """One Haar cloud and one farthest-point run give, at every epsilon,
+    what the per-epsilon calls give."""
+
+    @staticmethod
+    def per_epsilon(space, grid, budget, probe_budget, seed):
+        # each epsilon on its own: a net, then a packing seeded with its
+        # centers and the packing at the previous epsilon
+        curve, pack = [], None
+        for eps in grid:
+            net = None if probe_budget is None else greedy_net(space, eps, budget, probe_budget, rng=seed)
+            initial = [p for r in (net, pack) if r is not None for p in r.points]
+            pack = greedy_packing(space, eps, budget, rng=seed, initial=initial or None)
+            curve.append((pack, net))
+        return curve
+
+    @pytest.mark.parametrize("space, grid, budget, probe_budget", [
+        (G42, (1.2, 0.9, 0.6), 40, 300),
+        (G42, (1.2, 0.9, 0.6), 120, 60),
+        (HomSpace(GroupSpec("SO", 3)), (1.2, 0.8, 0.5), 80, 80),
+        (HomSpace(GroupSpec("U", 3)), (1.5, 1.0, 0.7), 50, 150),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), (0.6, 0.3, 0.1), 100, 40),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), (0.6, 0.3, 0.1), 60, None),
+        (G31_REAL, (1.0, 0.6, 0.4), 70, None),
+    ], ids=["U4-grassmann2-probes-above", "U4-grassmann2-probes-below", "SO3-equal",
+            "U3-probes-above", "U3-special-probes-below", "U3-special-packing", "SO3-grassmann1-packing"])
+    def test_matches_per_epsilon_calls(self, space, grid, budget, probe_budget):
+        for seed in (0, 1):
+            want = self.per_epsilon(space, grid, budget, probe_budget, seed)
+            got = greedy_curve(space, grid, budget, probe_budget, rng=seed)
+            assert len(got) == len(grid)
+            for (pack, net), (pack0, net0) in zip(got, want):
+                assert pack.count == pack0.count == len(pack.points)
+                assert np.array_equal(pack.points, pack0.points)
+                assert (net is None) == (net0 is None)
+                if net is not None:
+                    assert net.count == net0.count
+                    assert np.array_equal(net.points, net0.points)
+                    assert net.probe_max_dist == net0.probe_max_dist
+                    assert net.budget_exhausted == net0.budget_exhausted
+                    assert net.probe_count == net0.probe_count == probe_budget
+
+    def test_net_exhausted_only_at_the_smallest_epsilon(self):
+        # the prefix rule across the stop: the budget runs out at 0.6 only,
+        # and its net is the whole farthest-point run
+        got = greedy_curve(G42, (1.2, 0.9, 0.6), 40, 300, rng=1)
+        nets = [net for _, net in got]
+        assert [net.budget_exhausted for net in nets] == [False, False, True]
+        assert [net.count for net in nets] == [6, 18, 40]
+        for small, large in zip(nets, nets[1:]):
+            assert np.array_equal(large.points[:small.count], small.points)
+
+
 class TestChain:
     def test_full_chain_with_half_epsilon(self):
         eps = 0.8
@@ -497,7 +551,8 @@ class TestEntryChecks:
 
     def test_budgets_are_checked_before_any_draw(self):
         # a net needs a center and a probe, and a certificate a probe and a
-        # center; a packing may hold only its initial candidates
+        # center; a packing may hold only its initial candidates; a curve
+        # needs an epsilon and candidates
         net = greedy_net(G42, 0.9, 5, 20, rng=0)
         empty = entropy.NetResult("net_Npp", 0.9, np.empty((0, 4, 4)), 0, False)
         calls = {
@@ -506,6 +561,10 @@ class TestEntryChecks:
             "greedy_packing(sampler_budget=-1)": lambda rng: greedy_packing(G42, 0.9, -1, rng=rng),
             "certify_cover(probe_budget=0)": lambda rng: certify_cover(G42, net, 0, rng=rng),
             "certify_cover(empty net)": lambda rng: certify_cover(G42, empty, 20, rng=rng),
+            "greedy_curve(budget=0)": lambda rng: greedy_curve(G42, [0.9], 0, 20, rng=rng),
+            "greedy_curve(probe_budget=0)": lambda rng: greedy_curve(G42, [0.9], 5, 0, rng=rng),
+            "greedy_curve(epsilon=0)": lambda rng: greedy_curve(G42, [0.9, 0.0], 5, rng=rng),
+            "greedy_curve(empty grid)": lambda rng: greedy_curve(G42, [], 5, 20, rng=rng),
         }
         for name, call in calls.items():
             rng = np.random.default_rng(5)

@@ -14,12 +14,13 @@ one-at-a-time draws.  greedy_curve draws, checks and featurizes one cloud
 for a whole epsilon grid; each epsilon's net there is a prefix of one
 farthest-point order, which does not depend on epsilon.  In the operator
 norm, on the bare group and on Grassmannians, the loops first bound every
-pair by metrics._bracket (lo <= d <= hi, from products of feature rows;
-exact to rounding on the Grassmannians with min(k, n - k) <= 2) and settle
-the pairs that clear epsilon, or the distance in question, by MARGIN; only
-the remaining pairs reach the exact distance.  Every decision near epsilon
-and every reported value is an exact distance, so the results are those of
-the exhaustive loops.  On spaces with no bracket every pair is measured.
+pair by metrics._sin2_bounds (lo <= sin^2(d / w) <= hi, exact to rounding
+on the Grassmannians with min(k, n - k) <= 2) and settle the pairs that
+clear epsilon, or the distance in question, by MARGIN, against thresholds
+mapped into s = sin^2(d / w) once (_sin2_cut); only the remaining pairs
+reach the exact distance.  Every decision near epsilon and every reported
+value is an exact distance, so the results are those of the exhaustive
+loops.  On spaces with no bracket every pair is measured.
 
 Each public entry point checks the points a caller passes once, with
 GroupElement's rule (finite, unitary, and on SO(n) real with determinant
@@ -36,7 +37,7 @@ import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
 from .groups import HomSpace, _elements, component_basis, haar_samples
-from .metrics import _bracket, _bracket_features, _dists
+from .metrics import _bracket_features, _dists, _sin2_bounds
 from .invariants import (
     diameter_known,
     kappa_known,
@@ -91,15 +92,30 @@ class BoundReport:
     upper_applicable: bool
 
 
-def _all_farther(space, a, b, lo, hi, epsilon: float) -> np.ndarray:
+def _sin2_cut(space, d, fill):
+    """The distances d as thresholds on metrics._sin2_bounds: sin^2(d / w),
+    or fill (-inf for an upper bound, inf for a lower bound: no decision)
+    for x = d / w outside (0, top), and with no bracket (w nan).  Above top,
+    MARGIN's image in s, about 2 (pi/2 - x) MARGIN / w, spans fewer than 1e3
+    ulps of s (eps / 2 each), which the rounding of s could eat."""
+    w = space.subgroup.w or np.nan
+    top = np.pi / 2 - 1e3 * (np.finfo(float).eps / 2) * w / (2 * MARGIN)
+    x = np.asarray(d, dtype=float) / w
+    return np.where((x > 0) & (x < top), np.sin(x) ** 2, fill)
+
+
+def _all_farther(space, a, b, lo, hi, cuts, epsilon: float) -> np.ndarray:
     """For each point of a, whether its distance to every point of b
-    exceeds epsilon, given the bracket lo <= d <= hi of each pair.  A pair
-    with hi <= epsilon - MARGIN fails its row; the pairs of the other rows
-    with lo <= epsilon + MARGIN are measured exactly, in one batched call."""
-    far = ~np.any(hi <= epsilon - MARGIN, axis=1)
-    rows, cols = np.nonzero(far[:, np.newaxis] & (lo <= epsilon + MARGIN))
-    far[rows[_dists(space, a[rows], b[cols]) <= epsilon]] = False
-    return far
+    exceeds epsilon, given the bounds lo <= sin^2(d / w) <= hi of each pair
+    and cuts, the _sin2_cut of epsilon -+ MARGIN.  A pair with hi <= near
+    fails its row; the pairs of the other rows with lo <= far, if any, are
+    measured exactly, in one batched call."""
+    near, far = cuts
+    ok = ~np.any(hi <= near, axis=1)
+    rows, cols = np.nonzero(ok[:, np.newaxis] & (lo <= far))
+    if len(rows):
+        ok[rows[_dists(space, a[rows], b[cols]) <= epsilon]] = False
+    return ok
 
 
 def _blocks(x: np.ndarray):
@@ -152,25 +168,29 @@ def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
     """The rows of points (feats: their _bracket_features rows) that the
     greedy packing accepts from the rows seeds, then the rows cands.  Rows
     are taken BLOCK at a time (seeds and cands in separate blocks) and
-    checked against the points accepted before the block (the bracket
-    first, then one exact call for the undecided pairs); the survivors are
-    then checked in order against the points the block itself accepted, so
-    the accepted set is the one-at-a-time loop's."""
-    # every row may be accepted, so these never need to grow
+    bounded by one bracket call against the points accepted before the
+    block and the block itself.  A block is checked against the earlier
+    points (the bracket, then one exact call for the undecided pairs); the
+    survivors are then checked in order against the points the block
+    itself accepted, so the accepted set is the one-at-a-time loop's."""
+    # every row may be accepted, so these never need to grow; past count,
+    # cfeats holds the current block's rows
     total = len(seeds) + len(cands)
     centers = np.empty((total,) + points.shape[1:], points.dtype)
     cfeats = np.empty((total, feats.shape[1]))
     kept = np.empty(total, int)
+    cuts = _sin2_cut(space, epsilon - MARGIN, -np.inf), _sin2_cut(space, epsilon + MARGIN, np.inf)
     count = 0
     for rows in chain(_blocks(seeds), _blocks(cands)):
-        block, fb = points[rows], feats[rows]
-        lo, hi = _bracket(space, fb, cfeats[:count])
-        far = _all_farther(space, block, centers[:count], lo, hi, epsilon)
-        lo, hi = _bracket(space, fb, fb)
+        block, fb, base = points[rows], feats[rows], count
+        cfeats[base:base + len(rows)] = fb
+        lo, hi = _sin2_bounds(space, fb, cfeats[:base + len(rows)])
+        far = _all_farther(space, block, centers[:base], lo[:, :base], hi[:, :base], cuts, epsilon)
+        lo, hi = lo[:, base:], hi[:, base:]  # the block against itself
         taken = []  # rows of the block accepted so far
         for j in np.flatnonzero(far):
             if _all_farther(space, block[j:j + 1], block[taken],
-                            lo[j:j + 1, taken], hi[j:j + 1, taken], epsilon)[0]:
+                            lo[j:j + 1, taken], hi[j:j + 1, taken], cuts, epsilon)[0]:
                 centers[count], cfeats[count], kept[count] = block[j], fb[j], rows[j]
                 taken.append(j)
                 count += 1
@@ -179,23 +199,19 @@ def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
 
 def verify_separated(space: HomSpace, centers, epsilon: float) -> None:
     """Exhaustive pairwise check that all distances strictly exceed
-    epsilon; raises on any violation.  Every pair is either certified by
-    its bracket (lo > epsilon + MARGIN) or measured exactly."""
+    epsilon; raises on any violation.  The packing's acceptance loop run on
+    the points in order keeps them all exactly when no pair is within
+    epsilon: it checks each against every earlier point it kept, by the
+    bracket or an exact distance."""
     pts = _elements(space.group, centers)
-    feats = _bracket_features(space, pts)
-    for start in range(0, len(pts), BLOCK):
-        stop = min(start + BLOCK, len(pts))
-        lo, _ = _bracket(space, feats[start:stop], feats[:stop])
-        # each row against the points before it
-        earlier = np.arange(stop) < np.arange(start, stop)[:, np.newaxis]
-        rows, cols = np.nonzero(earlier & (lo <= epsilon + MARGIN))
-        d = _dists(space, pts[start + rows], pts[cols])
-        if d.size and np.min(d) <= epsilon:
-            i = int(np.argmin(d))
-            raise AssertionError(
-                f"packing violation: points {cols[i]} and {start + rows[i]} "
-                f"at distance {d[i]} <= {epsilon}"
-            )
+    rows = np.arange(len(pts))
+    kept = _pack(space, pts, _bracket_features(space, pts), rows, rows[:0], epsilon)
+    if len(kept) < len(pts):
+        # kept ascends, so it is rows up to the first point left out, j
+        j = int(np.count_nonzero(kept == rows[:len(kept)]))
+        d = _dists(space, pts[j], pts[:j])
+        i = int(np.argmin(d))
+        raise AssertionError(f"packing violation: points {i} and {j} at distance {d[i]} <= {epsilon}")
 
 
 def greedy_net(
@@ -224,14 +240,20 @@ def _farthest_points(space, probes, feats, budget: int, epsilon: float):
     their _bracket_features rows) from probe 0, and after each insertion
     the probes' largest distance to a chosen row; it stops at a radius of
     epsilon * (1 + NET_SLACK) or budget rows.  A new row is measured exactly
-    only against the probes its bracket might bring closer."""
+    only against the probes its bracket might bring closer: those whose lo
+    is below the _sin2_cut of nearest + MARGIN, kept per probe and
+    recomputed where nearest drops."""
     chosen, radii = [0], []
     nearest = np.full(len(probes), np.inf)
+    cut = np.full(len(probes), np.inf)
     while True:
         c = chosen[-1]
-        lo, _ = _bracket(space, feats[c:c + 1], feats)
-        near = np.flatnonzero(lo[0] < nearest + MARGIN)
-        nearest[near] = np.minimum(nearest[near], _dists(space, probes[c], probes[near]))
+        lo, _ = _sin2_bounds(space, feats[c:c + 1], feats)
+        near = np.flatnonzero(lo[0] < cut)
+        d = _dists(space, probes[c], probes[near])
+        drop = d < nearest[near]
+        near, d = near[drop], d[drop]
+        nearest[near], cut[near] = d, _sin2_cut(space, d + MARGIN, np.inf)
         worst = int(np.argmax(nearest))
         radii.append(float(nearest[worst]))
         if radii[-1] <= epsilon * (1.0 + NET_SLACK) or len(chosen) >= budget:
@@ -344,9 +366,9 @@ def certify_cover(
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it.  A probe's smallest bracket upper bound caps
     its nearest distance, so only the centers whose lower bound is within
-    MARGIN of that cap are measured.  Each pair is measured from the center,
-    as greedy_net measures it, so a net certified on its own probe stream
-    gives back its probe_max_dist."""
+    MARGIN of that cap (its _sin2_cut) are measured.  Each pair is measured
+    from the center, as greedy_net measures it, so a net certified on its
+    own probe stream gives back its probe_max_dist."""
     if probe_budget < 1:
         raise InvalidArgumentError("probe_budget must be positive")
     centers = _elements(space.group, net.points)
@@ -354,10 +376,12 @@ def certify_cover(
         raise InvalidArgumentError("net has no centers")
     rng = np.random.default_rng(rng)
     feats = _bracket_features(space, centers)
+    w = space.subgroup.w or np.nan  # no bracket: no cap, and _sin2_cut is inf
     worst = 0.0
     for block in _blocks(haar_samples(space.group, rng, probe_budget)):
-        lo, hi = _bracket(space, _bracket_features(space, block), feats)
-        rows, cols = np.nonzero(lo <= np.min(hi, axis=1, keepdims=True) + MARGIN)
+        lo, hi = _sin2_bounds(space, _bracket_features(space, block), feats)
+        cap = w * np.arcsin(np.sqrt(np.clip(np.min(hi, axis=1, keepdims=True), 0.0, 1.0)))
+        rows, cols = np.nonzero(lo <= _sin2_cut(space, cap + MARGIN, np.inf))
         nearest = np.full(len(block), np.inf)
         np.minimum.at(nearest, rows, _dists(space, centers[cols], block[rows]))
         worst = max(worst, float(np.max(nearest)))

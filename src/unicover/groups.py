@@ -72,6 +72,7 @@ class SubgroupSpec:
     theta_units = None  # "intrinsic" or "extrinsic"
     traceless = False  # theta witnesses need a trace-zero logarithm
     reducing_first = False  # theorem 11 names a reducing subspace first
+    w = None  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
 
     @staticmethod
     def trivial() -> "SubgroupSpec":
@@ -113,7 +114,7 @@ class SubgroupSpec:
     def bracket_rows(self, x: np.ndarray):
         """Float per-point rows for sin2_bounds(fa, fb, group), which gives
         lo <= sin^2(d / w) <= hi for each pair of rows of fa and fb in the
-        operator norm, as (lo, hi, w); None where the kind has no bracket."""
+        operator norm, as (lo, hi); None where the kind has no bracket."""
         return None
 
     def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
@@ -166,6 +167,8 @@ class Trivial(SubgroupSpec):
 
     exact_dists = staticmethod(_phase_dists)  # the eigenphases of a* b
 
+    w = 2.0
+
     def bracket_rows(self, x):
         # the matrix itself, complex even when real (on SO(n), or a real
         # stack of U(n) elements), so that every stack's rows share a width
@@ -178,7 +181,7 @@ class Trivial(SubgroupSpec):
         # phases come in pairs +-phi_j, so s sums m = floor(n / 2) terms
         pairs = 1 if group.is_complex else 2
         s = (group.n - fa @ fb.T) / (2 * pairs)
-        return (s - _BRACKET_SLACK) / (group.n // pairs), s + _BRACKET_SLACK, 2.0
+        return (s - _BRACKET_SLACK) / (group.n // pairs), s + _BRACKET_SLACK
 
     def diameter(self, group, norm):
         # -I on U(n); a rotation by pi in each 2-plane of SO(n)
@@ -319,6 +322,8 @@ class Grassmann(_Blocks):
         angles = np.arccos(np.clip(s, 0.0, 1.0))
         return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
 
+    w = 1.0
+
     def bracket_rows(self, x):
         # the projector E E* onto the span of the frame E and, for a
         # 2-frame (e, f), the wedge e f^T - f e^T, whose entries above the
@@ -349,12 +354,12 @@ class Grassmann(_Blocks):
         e1 = fa[:, :cols] @ fb[:, :cols].T
         if m != 2:
             s = m - e1
-            return (s - _BRACKET_SLACK) / m, s + _BRACKET_SLACK, 1.0
+            return (s - _BRACKET_SLACK) / m, s + _BRACKET_SLACK
         h = fa[:, cols:].view(complex).conj() @ fb[:, cols:].view(complex).T
         root = np.sqrt(np.maximum(e1 * e1 - (h.real ** 2 + h.imag ** 2), 0.0))
         x = 1.0 - (e1 - root) / 2
         slack = (_BRACKET_SLACK + 8 * _BRACKET_SLACK / np.maximum(root, _ROOT_FLOOR)) / 2
-        return x - slack, x + slack, 1.0
+        return x - slack, x + slack
 
     def diameter(self, group, norm):
         # a frame carried onto its orthogonal complement: every angle pi/2

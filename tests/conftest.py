@@ -8,6 +8,8 @@ principal angles via scipy's independent implementation.
 import numpy as np
 import pytest
 
+from unicover.entropy import MARGIN, _sin2_cut
+
 
 @pytest.fixture
 def rng():
@@ -40,3 +42,10 @@ def random_skew(n, rng, complex_=True):
     else:
         a = rng.standard_normal((n, n)).astype(float)
     return 0.5 * (a - a.conj().T)
+
+
+def cuts(space, epsilon):
+    """The thresholds the packing loop compares a pair's bounds on sin^2(d / w)
+    with at epsilon: an upper bound at most near puts the pair within
+    epsilon, a lower bound above far puts it beyond."""
+    return _sin2_cut(space, epsilon - MARGIN, -np.inf), _sin2_cut(space, epsilon + MARGIN, np.inf)

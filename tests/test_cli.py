@@ -2,6 +2,7 @@
 byte-level determinism of repeated runs."""
 
 import configparser
+import csv
 import os
 from pathlib import Path
 
@@ -290,6 +291,31 @@ def test_bracket_leaves_cover_curve_bytes_unchanged(seed, config, tmp_path, monk
     assert featurized == [700]
     csv = [(out[b] / "cover_curve.csv").read_bytes() for b in (True, False)]
     assert csv[0] == csv[1]
+
+
+def test_one_bracket_call_per_block_and_no_empty_exact_call(tmp_path, monkeypatch):
+    """On the benchmark cover config the kind's sin2_bounds runs once per
+    packing block (the block against the earlier points and itself) and
+    once per farthest-point insertion, and no exact call is made on zero
+    pairs."""
+    grassmann = type(SubgroupSpec.grassmann(2))
+    bounds, pairs = [], []
+    real_bounds, real_dists = grassmann.sin2_bounds, entropy._dists
+    monkeypatch.setattr(grassmann, "sin2_bounds",
+                        lambda self, fa, fb, group: bounds.append(1) or real_bounds(self, fa, fb, group))
+    monkeypatch.setattr(entropy, "_dists",
+                        lambda space, a, b: pairs.append(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]))
+                        or real_dists(space, a, b))
+    assert main(["run", _write(tmp_path, BENCH_COVER), "--out-dir", str(tmp_path)]) == 0
+    counts = {}
+    for row in csv.DictReader((tmp_path / "cover_curve.csv").read_text().splitlines()):
+        counts.setdefault(row["quantity_kind"], []).append(int(row["count"]))
+    nets, packs = counts["Npp_certified"], counts["Ntilde"]
+    blocks = sum(-(-(net + prev) // entropy.BLOCK) + -(-700 // entropy.BLOCK)
+                 for net, prev in zip(nets, [0] + packs[:-1]))
+    # the net at the smallest epsilon is the whole farthest-point run
+    assert len(bounds) == blocks + nets[-1]
+    assert pairs and min(np.prod(shape) for shape in pairs) > 0
 
 
 @pytest.mark.parametrize("config", [

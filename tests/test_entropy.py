@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from unicover import entropy, metrics
-from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec
+from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec, expm_skew
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_sample, haar_samples
+from unicover.metrics import _bracket_features, _dists, _sin2_bounds
 from unicover.entropy import (
     BLOCK,
+    MARGIN,
+    _sin2_cut,
     chain_consistent,
     certify_cover,
     greedy_curve,
@@ -24,6 +27,8 @@ from unicover.entropy import (
     theorem11_gate,
     verify_separated,
 )
+
+from conftest import cuts
 
 U1 = HomSpace(GroupSpec("U", 1))
 G31_REAL = HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1))
@@ -196,7 +201,7 @@ class TestBlockedLoops:
                  if dists_to_centers(g, pts[j], pts[i:i + 1])[0] <= 0.5]
         assert pairs == [(size - 2, size - 1)]
         verify_separated(g, pack, 0.5)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=f"points {size - 2} and {size - 1} "):
             verify_separated(g, pts, 0.5)
 
     def test_net_matches_farthest_point_loop(self):
@@ -289,6 +294,96 @@ class TestBlockedLoops:
         assert np.array_equal(net.points, net0.points)
         assert net.probe_max_dist == net0.probe_max_dist
         assert np.array_equal(pack.points, pack0.points)
+
+
+def top_pair(space, seed, gap):
+    """A Haar point a and b = a exp(x) at distance w pi/2 - gap, w the
+    bracket's scale: on a Grassmannian x turns columns 0 and 1 toward
+    columns k and k + 1 (two equal principal angles), on U(n) it is one
+    eigenphase, on SO(n) a rotation in one coordinate plane."""
+    n, sub = space.n, space.subgroup
+    d = sub.w * np.pi / 2 - gap
+    a = haar_samples(space.group, np.random.default_rng(seed), 1)[0]
+    x = np.zeros((n, n), complex if space.group.is_complex else float)
+    if sub.kind == "grassmann":
+        for i in (0, 1):
+            x[sub.k + i, i], x[i, sub.k + i] = d, -d
+    elif space.group.is_complex:
+        x[0, 0] = 1j * d
+    else:
+        x[1, 0], x[0, 1] = d, -d
+    return a, a @ expm_skew(x)
+
+
+TOP_SPACES = [G42, HomSpace(GroupSpec("U", 2)), HomSpace(GroupSpec("SO", 3))]
+TOP_IDS = ["U4-grassmann2", "U2", "SO3"]
+
+
+class TestTopBand:
+    """Just below the largest distance w pi/2, sin^2 is too flat for a
+    threshold in s to be compared soundly: there the bracket decides
+    nothing and every pair is measured."""
+
+    @pytest.mark.parametrize("scale", [1 - 2e-7, 1 + 2e-7], ids=["below", "above"])
+    @pytest.mark.parametrize("space", TOP_SPACES, ids=TOP_IDS)
+    def test_pair_just_below_the_top(self, space, scale):
+        for seed in range(5):
+            a, b = top_pair(space, seed, 1e-7)
+            d = dists_to_centers(space, a, b[np.newaxis])[0]
+            assert abs(d - (space.subgroup.w * np.pi / 2 - 1e-7)) < 1e-9
+            epsilon = d * scale
+            pack = greedy_packing(space, epsilon, 0, initial=[a, b])
+            assert pack.count == (2 if d > epsilon else 1)
+            if d > epsilon:
+                verify_separated(space, [a, b], epsilon)
+            else:
+                with pytest.raises(AssertionError):
+                    verify_separated(space, [a, b], epsilon)
+
+    @pytest.mark.parametrize("space", TOP_SPACES, ids=TOP_IDS)
+    def test_band_cuts_decide_nothing(self, space):
+        # MARGIN's image in s spans 1e3 ulps of s about 5.6e-5 w below
+        # pi/2 in d / w; above that, and outside (0, pi/2), each cut is
+        # its fill, so that neither a near nor a far decision is made
+        w = space.subgroup.w
+        top = w * np.pi / 2
+        for d in (top - 5e-5 * w * w, top - 1e-7, top, top + 1e-9, 3 * top, 0.0, -MARGIN):
+            assert _sin2_cut(space, d, -np.inf) == -np.inf
+            assert _sin2_cut(space, d, np.inf) == np.inf
+        for d in (MARGIN, 0.3, top - 6e-5 * w * w):
+            assert _sin2_cut(space, d, np.inf) == pytest.approx(np.sin(d / w) ** 2, abs=1e-15)
+
+    @pytest.mark.parametrize("space", TOP_SPACES + [
+        HomSpace(GroupSpec("U", 3)), HomSpace(GroupSpec("SO", 4)), G53,
+        HomSpace(GroupSpec("U", 3), SubgroupSpec.grassmann(1)),
+    ], ids=TOP_IDS + ["U3", "SO4", "U5-grassmann3", "U3-grassmann1"])
+    def test_decided_pairs_agree_with_exact_distance(self, space):
+        # Haar pairs and pairs at a few gaps below the top, on an epsilon
+        # grid through the band and through every pair's own distance
+        # within a few MARGIN: a pair the bracket decides near has
+        # d <= epsilon, one it decides far has d > epsilon
+        rng = np.random.default_rng(31)
+        a, b = haar_samples(space.group, rng, 200), haar_samples(space.group, rng, 200)
+        if space.subgroup.kind == "trivial" or min(space.subgroup.k, space.n - space.subgroup.k) >= 2:
+            tops = [top_pair(space, s, gap) for s, gap in enumerate((1e-3, 1e-4, 5e-5, 1e-5, 1e-7))]
+            a = np.concatenate([a, [p for p, _ in tops]])
+            b = np.concatenate([b, [q for _, q in tops]])
+        lo, hi = _sin2_bounds(space, _bracket_features(space, a), _bracket_features(space, b))
+        lo, hi, d = lo.diagonal(), hi.diagonal(), _dists(space, a, b)
+        top = space.subgroup.w * np.pi / 2
+        grid = [0.1, 0.5, 1.0, top - 1e-3, top - 2e-4, top - 5e-5, top - 1e-5, top - 1e-7,
+                top, top + 1e-9]
+        grid += [x + k * MARGIN for x in d[::10].tolist() + d[200:].tolist()
+                 for k in (-4, -2, -1, -0.5, 0.5, 1, 2, 4)]
+        decided = 0
+        for epsilon in grid:
+            near, far = cuts(space, epsilon)
+            assert np.all(d[hi <= near] <= epsilon)
+            assert np.all(d[lo > far] > epsilon)
+            decided += np.count_nonzero(hi <= near) + np.count_nonzero(lo > far)
+        # a grid the bracket never decided on would check nothing (the
+        # bare groups' lower bound s / n is loose: about 8% on U(3))
+        assert decided > 0.05 * len(grid) * len(d)
 
 
 class TestGreedyCurve:

@@ -36,16 +36,16 @@ from unicover.metrics import (
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
-    _bracket,
     _bracket_features,
     _dists,
     _optimize_coset_dist,
     _polyline_length,
+    _sin2_bounds,
 )
 from unicover import metrics
 from unicover.entropy import dists_to_centers
 
-from conftest import random_skew
+from conftest import cuts, random_skew
 
 
 class TestIntrinsicDist:
@@ -453,9 +453,12 @@ PLUCKER_SPACES = [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
 
 
 def _bracket_pairs(space, a, b):
-    """The bracket and the exact distance of the pairs (a[i], b[i])."""
-    lo, hi = _bracket(space, _bracket_features(space, a), _bracket_features(space, b))
-    return lo.diagonal(), hi.diagonal(), _dists(space, a, b)
+    """The bracket of the pairs (a[i], b[i]), as distances w arcsin of the
+    square root of the bounds on sin^2(d / w), and their exact distance."""
+    lo, hi = _sin2_bounds(space, _bracket_features(space, a), _bracket_features(space, b))
+    w = space.subgroup.w
+    lo, hi = (w * np.arcsin(np.sqrt(np.clip(x.diagonal(), 0.0, 1.0))) for x in (lo, hi))
+    return lo, hi, _dists(space, a, b)
 
 
 class TestBracket:
@@ -547,8 +550,13 @@ class TestBracket:
         HomSpace(GroupSpec("U", 3), TRIVIAL, FROBENIUS),
     ], ids=["special", "tensor2x2", "block111", "schatten1", "schatten2"])
     def test_no_bracket(self, space):
+        # zero-width rows bound nothing: at any epsilon no pair is near
+        # (hi at most the near cut) or far (lo above the far cut)
         a = haar_samples(space.group, np.random.default_rng(13), 5)
         f = _bracket_features(space, a)
         assert f.shape == (5, 0)
-        lo, hi = _bracket(space, f, f[:3])
-        assert np.all(lo == 0.0) and np.all(hi == np.inf) and lo.shape == (5, 3)
+        lo, hi = _sin2_bounds(space, f, f[:3])
+        assert lo.shape == hi.shape == (5, 3)
+        for epsilon in (1e-6, 0.3, 1.0, np.pi / 2, 3.0, 10.0):
+            near, far = cuts(space, epsilon)
+            assert not np.any(hi <= near) and not np.any(lo > far)

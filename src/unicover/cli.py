@@ -85,7 +85,8 @@ def parse_space(cfg: configparser.ConfigParser) -> HomSpace:
         raise ConfigError(f"bad subgroup spec: {exc}") from exc
 
 
-def parse_task(cfg: configparser.ConfigParser) -> dict:
+def parse_task(cfg: configparser.ConfigParser, seed: int | None = None) -> dict:
+    """The task the config describes; seed, when given, overrides its seed."""
     if "task" not in cfg:
         raise ConfigError("missing [task] section")
     sec = cfg["task"]
@@ -104,13 +105,17 @@ def parse_task(cfg: configparser.ConfigParser) -> dict:
     probe_budget = sec.getint("probe_budget", 4000)
     if budget <= 0 or probe_budget <= 0:
         raise ConfigError("budgets must be positive")
+    seed = sec.getint("seed", 0) if seed is None else seed
+    samples = sec.getint("samples", 300)
+    if seed < 0 or samples < 1:
+        raise ConfigError(f"need seed >= 0 and samples >= 1, got {seed} and {samples}")
     return {
         "kind": kind,
         "epsilon_grid": grid,
         "budget": budget,
         "probe_budget": probe_budget,
-        "seed": sec.getint("seed", 0),
-        "samples": sec.getint("samples", 300),
+        "seed": seed,
+        "samples": samples,
     }
 
 
@@ -244,12 +249,10 @@ def main(argv=None) -> int:
         if not cfg.read(args.config):
             raise ConfigError(f"cannot read config {args.config!r}")
         space = parse_space(cfg)
-        task = parse_task(cfg)
+        task = parse_task(cfg, args.seed)
     except (ConfigError, configparser.Error, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        task["seed"] = args.seed
     return run_task(space, task, args.out_dir)
 
 

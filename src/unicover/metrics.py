@@ -17,6 +17,9 @@ The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
 2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
 np.linalg.eigvals wrap the same routines, so the values are theirs bit for
 bit, without their per-call checks.
+
+scipy loads only on the first coset search (scipy.optimize, see minimize)
+or logm_unitary (scipy.linalg): a run on closed forms imports numpy alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvals
-from scipy.optimize import minimize
 
 from .matcore import (
     OPERATOR,
@@ -192,6 +194,12 @@ def quotient_dist_upper(p: CosetPoint, q: CosetPoint, restarts: int = 8, rng=0) 
     return float(_dists(p.space, _mat(p.representative), _mat(q.representative), restarts, rng))
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy import optimize
+    return optimize.minimize(*args, **kwargs)
+
+
 def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts: int, rng) -> float:
     """Powell over the subalgebra from the best few of several starts."""
     norm = space.norm
@@ -236,11 +244,11 @@ def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts
         starts.append(rng.normal(scale=1.0, size=dim))
 
     with np.errstate(invalid="raise"):
-        ranked = sorted(starts, key=f)[: max(2, min(4, len(starts)))]
+        scored = sorted(((f(c), c) for c in starts), key=lambda fc: fc[0])
         best = _phase_dists(u, v, norm)
         surrogate = f_smooth if norm.is_operator else f
-        for c0 in ranked:
-            f0 = float(f(c0))
+        for f0, c0 in scored[: max(2, min(4, len(starts)))]:
+            f0 = float(f0)
             if f0 > best + 0.25:
                 continue  # cannot plausibly beat the incumbent
             res = minimize(

@@ -4,6 +4,8 @@ byte-level determinism of repeated runs."""
 import configparser
 import csv
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,17 @@ k = 1
 [task]
 kind = invariants
 samples = 40
+seed = 0
+"""
+
+
+VERIFY_U2 = """
+[space]
+group = U
+n = 2
+
+[task]
+kind = verify_all
 seed = 0
 """
 
@@ -105,15 +118,7 @@ class TestRun:
         assert int(row["dim_M"]) == 4
 
     def test_verify_all_exit_zero(self, tmp_path, capsys):
-        cfg = _write(tmp_path, """
-[space]
-group = U
-n = 2
-
-[task]
-kind = verify_all
-seed = 0
-""")
+        cfg = _write(tmp_path, VERIFY_U2)
         out = tmp_path / "out"
         assert main(["run", cfg, "--out-dir", str(out)]) == 0
         printed = capsys.readouterr().out
@@ -373,3 +378,54 @@ class TestConfigErrors:
         cfg = _write(tmp_path, U1_COVER.replace("budget = 100",
                                                 "budget = -5"))
         assert main(["run", cfg]) == 1
+
+    @pytest.mark.parametrize("text, flags", [
+        (U1_COVER.replace("seed = 0", "seed = -1"), []),
+        (U1_COVER, ["--seed", "-1"]),
+        (INVARIANTS.replace("samples = 40", "samples = -3"), []),
+        (INVARIANTS.replace("grassmann\nk = 1", "block_diagonal\npartition = 1 1 1")
+         .replace("samples = 40", "samples = 0"), []),
+        (INVARIANTS.replace("n = 3\nsubgroup = grassmann\nk = 1", "n = 2")
+         .replace("samples = 40", "samples = 0"), []),
+    ], ids=["config-seed", "flag-seed", "samples-neg", "samples-0-block111", "samples-0-U2"])
+    def test_negative_seed_or_no_samples(self, text, flags, tmp_path, capsys):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
+
+COLD_IMPORT = """
+import sys
+import numpy as np
+import unicover, unicover.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for cfg in sys.argv[1:3]:
+    assert unicover.cli.main(["run", cfg, "--out-dir", sys.argv[3]]) == 0, cfg
+assert not scipy_modules(), scipy_modules()[:5]
+
+from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_samples
+from unicover.metrics import CosetPoint, quotient_dist_upper
+
+space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+u, v = haar_samples(space.group, np.random.default_rng(0), 2)
+quotient_dist_upper(CosetPoint(u, space), CosetPoint(v, space))
+assert "scipy.optimize" in sys.modules, scipy_modules()
+"""
+
+
+def test_closed_form_runs_import_no_scipy(tmp_path):
+    """A cover curve on closed forms and the verify suites load numpy
+    alone; the first coset search loads scipy.optimize.  Run in a fresh
+    interpreter, since this one has imported scipy already."""
+    cover = _write(tmp_path, G31_PACKING.replace("packing_curve", "cover_curve"), "cover.ini")
+    verify = _write(tmp_path, VERIFY_U2, "verify.ini")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT, cover, verify, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -97,8 +97,8 @@ def parse_task(cfg: configparser.ConfigParser, seed: int | None = None) -> dict:
     if kind in ("packing_curve", "cover_curve", "bounds"):
         if not grid:
             raise ConfigError("epsilon_grid required for this task")
-        if any(e <= 0 for e in grid):
-            raise ConfigError("epsilon_grid must be strictly positive")
+        if not all(0 < e < np.inf for e in grid):
+            raise ConfigError("epsilon_grid must be strictly positive and finite")
         if any(a <= b for a, b in zip(grid, grid[1:])):
             raise ConfigError("epsilon_grid must be sorted descending")
     budget = sec.getint("budget", 2000)

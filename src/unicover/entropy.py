@@ -12,15 +12,15 @@ packing count).
 Each Haar cloud is drawn in one haar_samples call, in the stream order of
 one-at-a-time draws.  greedy_curve draws, checks and featurizes one cloud
 for a whole epsilon grid; each epsilon's net there is a prefix of one
-farthest-point order, which does not depend on epsilon.  In the operator
-norm, on the bare group and on Grassmannians, the loops first bound every
-pair by metrics._sin2_bounds (lo <= sin^2(d / w) <= hi, exact to rounding
-on the Grassmannians with min(k, n - k) <= 2) and settle the pairs that
-clear epsilon, or the distance in question, by MARGIN, against thresholds
-mapped into s = sin^2(d / w) once (_sin2_cut); only the remaining pairs
-reach the exact distance.  Every decision near epsilon and every reported
-value is an exact distance, so the results are those of the exhaustive
-loops.  On spaces with no bracket every pair is measured.
+farthest-point order, which does not depend on epsilon.  The loops first
+bound every pair by the space's bracket (HomSpace.bracket: in the operator
+norm, on the bare group and on Grassmannians, exact to rounding on those
+with min(k, n - k) <= 2) and settle the pairs that clear epsilon, or the
+distance in question, by MARGIN, against thresholds the bracket maps once
+(its sin2_cut); only the remaining pairs reach the exact distance.  Every
+decision near epsilon and every reported value is an exact distance, so
+the results are those of the exhaustive loops.  On spaces with no bracket
+every pair is measured.
 
 Each public entry point checks the points a caller passes once, with
 GroupElement's rule (finite, unitary, and on SO(n) real with determinant
@@ -36,24 +36,14 @@ from typing import Optional
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import HomSpace, _elements, component_basis, haar_samples
-from .metrics import _bracket_features, _dists, _sin2_bounds
-from .invariants import (
-    diameter_known,
-    kappa_known,
-    theta_known,
-    theta_units,
-)
+from .groups import MARGIN, HomSpace, _elements, component_basis, haar_samples
+from .metrics import _dists
+from .invariants import _theta_intrinsic, diameter_known, kappa_known, theta_known
 
 # Candidates and probes are drawn, and their distances batched, this many at
 # a time: enough to amortize the per-call overhead, few enough that a
 # block's temporaries stay small beside the arrays of centers and probes.
 BLOCK = 16
-
-# A bracket settles a pair only when it clears the threshold by this much:
-# far above the rounding of the bracket and of the exact distances, far
-# below any separation a construction resolves.
-MARGIN = 1e-9
 
 # greedy_net covers every probe within epsilon * (1 + NET_SLACK).
 NET_SLACK = 0.01
@@ -92,23 +82,11 @@ class BoundReport:
     upper_applicable: bool
 
 
-def _sin2_cut(space, d, fill):
-    """The distances d as thresholds on metrics._sin2_bounds: sin^2(d / w),
-    or fill (-inf for an upper bound, inf for a lower bound: no decision)
-    for x = d / w outside (0, top), and with no bracket (w nan).  Above top,
-    MARGIN's image in s, about 2 (pi/2 - x) MARGIN / w, spans fewer than 1e3
-    ulps of s (eps / 2 each), which the rounding of s could eat."""
-    w = space.subgroup.w or np.nan
-    top = np.pi / 2 - 1e3 * (np.finfo(float).eps / 2) * w / (2 * MARGIN)
-    x = np.asarray(d, dtype=float) / w
-    return np.where((x > 0) & (x < top), np.sin(x) ** 2, fill)
-
-
 def _all_farther(space, a, b, lo, hi, cuts, epsilon: float) -> np.ndarray:
     """For each point of a, whether its distance to every point of b
-    exceeds epsilon, given the bounds lo <= sin^2(d / w) <= hi of each pair
-    and cuts, the _sin2_cut of epsilon -+ MARGIN.  A pair with hi <= near
-    fails its row; the pairs of the other rows with lo <= far, if any, are
+    exceeds epsilon, given the bracket bounds lo and hi of each pair and
+    cuts, the sin2_cut of epsilon -+ MARGIN.  A pair with hi <= near fails
+    its row; the pairs of the other rows with lo <= far, if any, are
     measured exactly, in one batched call."""
     near, far = cuts
     ok = ~np.any(hi <= near, axis=1)
@@ -149,8 +127,8 @@ def greedy_packing(
     nests the constructions so the count comparisons of the
     covering/packing chain hold by construction.
     """
-    if epsilon <= 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
     if sampler_budget < 0:
         raise InvalidArgumentError("sampler_budget must be nonnegative")
     g = space.group
@@ -159,17 +137,17 @@ def greedy_packing(
     points = np.concatenate([seeds, haar_samples(g, rng, sampler_budget)],
                             dtype=np.result_type(seeds, g.identity()))
     rows = np.arange(len(points))
-    kept = _pack(space, points, _bracket_features(space, points),
+    kept = _pack(space, points, space.bracket.bracket_rows(points),
                  rows[:len(seeds)], rows[len(seeds):], epsilon)
     return NetResult("packing_tilde", epsilon, points[kept], len(kept), True)
 
 
 def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
-    """The rows of points (feats: their _bracket_features rows) that the
-    greedy packing accepts from the rows seeds, then the rows cands.  Rows
-    are taken BLOCK at a time (seeds and cands in separate blocks) and
-    bounded by one bracket call against the points accepted before the
-    block and the block itself.  A block is checked against the earlier
+    """The rows of points (feats: their bracket_rows) that the greedy
+    packing accepts from the rows seeds, then the rows cands.  Rows are
+    taken BLOCK at a time (seeds and cands in separate blocks) and bounded
+    by one bracket call against the points accepted before the block and
+    the block itself.  A block is checked against the earlier
     points (the bracket, then one exact call for the undecided pairs); the
     survivors are then checked in order against the points the block
     itself accepted, so the accepted set is the one-at-a-time loop's."""
@@ -179,12 +157,13 @@ def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
     centers = np.empty((total,) + points.shape[1:], points.dtype)
     cfeats = np.empty((total, feats.shape[1]))
     kept = np.empty(total, int)
-    cuts = _sin2_cut(space, epsilon - MARGIN, -np.inf), _sin2_cut(space, epsilon + MARGIN, np.inf)
+    bracket = space.bracket
+    cuts = bracket.sin2_cut(epsilon - MARGIN, -np.inf), bracket.sin2_cut(epsilon + MARGIN, np.inf)
     count = 0
     for rows in chain(_blocks(seeds), _blocks(cands)):
         block, fb, base = points[rows], feats[rows], count
         cfeats[base:base + len(rows)] = fb
-        lo, hi = _sin2_bounds(space, fb, cfeats[:base + len(rows)])
+        lo, hi = bracket.sin2_bounds(fb, cfeats[:base + len(rows)], space.group)
         far = _all_farther(space, block, centers[:base], lo[:, :base], hi[:, :base], cuts, epsilon)
         lo, hi = lo[:, base:], hi[:, base:]  # the block against itself
         taken = []  # rows of the block accepted so far
@@ -203,9 +182,11 @@ def verify_separated(space: HomSpace, centers, epsilon: float) -> None:
     the points in order keeps them all exactly when no pair is within
     epsilon: it checks each against every earlier point it kept, by the
     bracket or an exact distance."""
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
     pts = _elements(space.group, centers)
     rows = np.arange(len(pts))
-    kept = _pack(space, pts, _bracket_features(space, pts), rows, rows[:0], epsilon)
+    kept = _pack(space, pts, space.bracket.bracket_rows(pts), rows, rows[:0], epsilon)
     if len(kept) < len(pts):
         # kept ascends, so it is rows up to the first point left out, j
         j = int(np.count_nonzero(kept == rows[:len(kept)]))
@@ -226,34 +207,35 @@ def greedy_net(
     epsilon * (1 + NET_SLACK) of a center, or the center budget runs out.
     The insertion order does not depend on epsilon, only where it stops, so
     the net at a larger epsilon is a prefix of the net at a smaller one."""
-    if epsilon <= 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
     if sampler_budget < 1 or probe_budget < 1:
         raise InvalidArgumentError("sampler_budget and probe_budget must be positive")
     probes = haar_samples(space.group, np.random.default_rng(rng), probe_budget)
-    feats = _bracket_features(space, probes)
+    feats = space.bracket.bracket_rows(probes)
     return _net(probes, *_farthest_points(space, probes, feats, sampler_budget, epsilon), epsilon)
 
 
 def _farthest_points(space, probes, feats, budget: int, epsilon: float):
     """The chosen rows of farthest-point insertion over the probes (feats:
-    their _bracket_features rows) from probe 0, and after each insertion
-    the probes' largest distance to a chosen row; it stops at a radius of
-    epsilon * (1 + NET_SLACK) or budget rows.  A new row is measured exactly
-    only against the probes its bracket might bring closer: those whose lo
-    is below the _sin2_cut of nearest + MARGIN, kept per probe and
-    recomputed where nearest drops."""
+    their bracket_rows) from probe 0, and after each insertion the probes'
+    largest distance to a chosen row; it stops at a radius of epsilon * (1 +
+    NET_SLACK) or budget rows.  A new row is measured exactly only against
+    the probes its bracket might bring closer: those whose lo is below the
+    sin2_cut of nearest + MARGIN, kept per probe and recomputed where
+    nearest drops."""
+    bracket = space.bracket
     chosen, radii = [0], []
     nearest = np.full(len(probes), np.inf)
     cut = np.full(len(probes), np.inf)
     while True:
         c = chosen[-1]
-        lo, _ = _sin2_bounds(space, feats[c:c + 1], feats)
+        lo, _ = bracket.sin2_bounds(feats[c:c + 1], feats, space.group)
         near = np.flatnonzero(lo[0] < cut)
         d = _dists(space, probes[c], probes[near])
         drop = d < nearest[near]
         near, d = near[drop], d[drop]
-        nearest[near], cut[near] = d, _sin2_cut(space, d + MARGIN, np.inf)
+        nearest[near], cut[near] = d, bracket.sin2_cut(d + MARGIN, np.inf)
         worst = int(np.argmax(nearest))
         radii.append(float(nearest[worst]))
         if radii[-1] <= epsilon * (1.0 + NET_SLACK) or len(chosen) >= budget:
@@ -288,13 +270,13 @@ def greedy_curve(
     budget the candidates) checked and featurized once, and one
     farthest-point run to the smallest epsilon."""
     grid = [float(e) for e in epsilon_grid]
-    if not grid or min(grid) <= 0:
-        raise InvalidArgumentError("epsilon_grid must be nonempty and positive")
+    if not grid or not all(0 < e < np.inf for e in grid):
+        raise InvalidArgumentError("epsilon_grid must be nonempty, positive and finite")
     if budget < 1 or (probe_budget is not None and probe_budget < 1):
         raise InvalidArgumentError("budget and probe_budget must be positive")
     cloud = haar_samples(space.group, np.random.default_rng(rng),
                          max(budget, probe_budget or 0))
-    feats = _bracket_features(space, cloud)
+    feats = space.bracket.bracket_rows(cloud)
     if probe_budget is not None:
         probes = cloud[:probe_budget]
         order = _farthest_points(space, probes, feats[:probe_budget], budget, min(grid))
@@ -320,8 +302,8 @@ def linearized_cover(
     known diameter, and the operator norm: the lattice ball, its reach and
     its mesh are all measured in it.
     """
-    if epsilon <= 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
     if not space.norm.is_operator:
         raise InvalidArgumentError("linearized cover needs the operator norm")
     if kappa_known(space) != 1.0 and not override_kappa_gate:
@@ -366,7 +348,7 @@ def certify_cover(
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it.  A probe's smallest bracket upper bound caps
     its nearest distance, so only the centers whose lower bound is within
-    MARGIN of that cap (its _sin2_cut) are measured.  Each pair is measured
+    MARGIN of that cap (its sin2_cut) are measured.  Each pair is measured
     from the center, as greedy_net measures it, so a net certified on its
     own probe stream gives back its probe_max_dist."""
     if probe_budget < 1:
@@ -375,28 +357,19 @@ def certify_cover(
     if len(centers) == 0:
         raise InvalidArgumentError("net has no centers")
     rng = np.random.default_rng(rng)
-    feats = _bracket_features(space, centers)
-    w = space.subgroup.w or np.nan  # no bracket: no cap, and _sin2_cut is inf
+    bracket = space.bracket
+    feats = bracket.bracket_rows(centers)
     worst = 0.0
     for block in _blocks(haar_samples(space.group, rng, probe_budget)):
-        lo, hi = _sin2_bounds(space, _bracket_features(space, block), feats)
-        cap = w * np.arcsin(np.sqrt(np.clip(np.min(hi, axis=1, keepdims=True), 0.0, 1.0)))
-        rows, cols = np.nonzero(lo <= _sin2_cut(space, cap + MARGIN, np.inf))
+        lo, hi = bracket.sin2_bounds(bracket.bracket_rows(block), feats, space.group)
+        cap = bracket.sin2_dist(np.min(hi, axis=1, keepdims=True))
+        rows, cols = np.nonzero(lo <= bracket.sin2_cut(cap + MARGIN, np.inf))
         nearest = np.full(len(block), np.inf)
         np.minimum.at(nearest, rows, _dists(space, centers[cols], block[rows]))
         worst = max(worst, float(np.max(nearest)))
     net.probe_count = probe_budget
     net.probe_max_dist = worst
     return worst
-
-
-def _theta_intrinsic(space: HomSpace) -> Optional[float]:
-    t = theta_known(space)
-    if t is None:
-        return None
-    if theta_units(space) == "extrinsic":
-        return float(2 * np.arcsin(min(t, 2.0) / 2))
-    return t
 
 
 def theorem8_bounds(

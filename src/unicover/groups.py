@@ -64,7 +64,9 @@ class SubgroupSpec:
     dim_in(group), project_H(x) (the orthogonal projection of a skew x, or
     of each matrix of a stack, onto the subalgebra) and its CSV label; the
     attributes and methods here are the defaults of a kind that lacks the
-    fact in question."""
+    fact in question: for the operator-norm bracket on s = sin^2(d / w)
+    (w, bracket_rows, sin2_bounds, sin2_cut and its inverse sin2_dist) the
+    null bracket, which decides nothing (see HomSpace.bracket)."""
 
     k = None  # grassmann and tensor_factor only
     kappa = None  # complement-projection norm, where the structure pins it
@@ -72,7 +74,7 @@ class SubgroupSpec:
     theta_units = None  # "intrinsic" or "extrinsic"
     traceless = False  # theta witnesses need a trace-zero logarithm
     reducing_first = False  # theorem 11 names a reducing subspace first
-    w = None  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
+    w = np.nan  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
 
     @staticmethod
     def trivial() -> "SubgroupSpec":
@@ -111,11 +113,30 @@ class SubgroupSpec:
         """The batched closed form metrics._dists takes, or None."""
         return None
 
-    def bracket_rows(self, x: np.ndarray):
+    def bracket_rows(self, x: np.ndarray) -> np.ndarray:
         """Float per-point rows for sin2_bounds(fa, fb, group), which gives
         lo <= sin^2(d / w) <= hi for each pair of rows of fa and fb in the
-        operator norm, as (lo, hi); None where the kind has no bracket."""
-        return None
+        operator norm, as two (len(fa), len(fb)) arrays."""
+        return np.zeros((len(x), 0))
+
+    def sin2_bounds(self, fa, fb, group: GroupSpec):
+        shape = (len(fa), len(fb))
+        return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+    def sin2_cut(self, d, fill):
+        """The distances d as thresholds on sin2_bounds: sin^2(d / w), or
+        fill (-inf for an upper bound, inf for a lower bound: no decision)
+        for x = d / w outside (0, top), and with no bracket (w nan).  Above
+        top, MARGIN's image in s, about 2 (pi/2 - x) MARGIN / w, spans fewer
+        than 1e3 ulps of s (eps / 2 each), which the rounding of s could eat."""
+        top = np.pi / 2 - 1e3 * (np.finfo(float).eps / 2) * self.w / (2 * MARGIN)
+        x = np.asarray(d, dtype=float) / self.w
+        return np.where((x > 0) & (x < top), np.sin(x) ** 2, fill)
+
+    def sin2_dist(self, s):
+        """The distances w arcsin(sqrt(s)) whose sin^2(d / w) is s, clipped
+        to [0, 1]: the inverse of sin2_cut, nan with no bracket."""
+        return self.w * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
     def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
         """The gauge of the phases between two farthest cosets, or None."""
@@ -148,6 +169,13 @@ _BRACKET_SLACK = 1e-12
 # at a double root, about 1e-11 where the two angles are apart.
 _ROOT_FLOOR = np.sqrt(8 * _BRACKET_SLACK)
 
+# A bracket settles a pair only when it clears the threshold by this much:
+# far above the rounding of the bracket and of the exact distances, far
+# below any separation a construction resolves.
+MARGIN = 1e-9
+
+_NO_BRACKET = SubgroupSpec()
+
 
 @dataclass(frozen=True)
 class Trivial(SubgroupSpec):
@@ -158,6 +186,7 @@ class Trivial(SubgroupSpec):
     kappa = 1.0
     theta = np.pi
     theta_units = "intrinsic"
+    w = 2.0
 
     def dim_in(self, group: GroupSpec) -> int:
         return 0
@@ -166,8 +195,6 @@ class Trivial(SubgroupSpec):
         return np.zeros_like(x)
 
     exact_dists = staticmethod(_phase_dists)  # the eigenphases of a* b
-
-    w = 2.0
 
     def bracket_rows(self, x):
         # the matrix itself, complex even when real (on SO(n), or a real
@@ -289,6 +316,7 @@ class Grassmann(_Blocks):
     kappa = 1.0
     theta = np.pi
     theta_units = "intrinsic"
+    w = 1.0
     k: int
     # n of the two-block partition it was built from, checked against G
     size: Optional[int] = field(default=None, compare=False, repr=False)
@@ -321,8 +349,6 @@ class Grassmann(_Blocks):
         s = np.linalg.svd(gram, compute_uv=False)
         angles = np.arccos(np.clip(s, 0.0, 1.0))
         return norm.of_singular_values(np.repeat(angles, 2, axis=-1))
-
-    w = 1.0
 
     def bracket_rows(self, x):
         # the projector E E* onto the span of the frame E and, for a
@@ -461,6 +487,12 @@ class HomSpace:
     def dim(self) -> int:
         """Real dimension of the quotient manifold."""
         return self.group.dim - self.dim_H
+
+    @property
+    def bracket(self) -> SubgroupSpec:
+        """The kind whose bracket bounds its distances: the subgroup's in
+        the operator norm, the null bracket in any other."""
+        return self.subgroup if self.norm.is_operator else _NO_BRACKET
 
 
 @dataclass(frozen=True)

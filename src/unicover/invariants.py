@@ -81,6 +81,16 @@ def theta_units(space: HomSpace) -> Optional[str]:
     return space.subgroup.theta_units
 
 
+def _theta_intrinsic(space: HomSpace) -> Optional[float]:
+    """theta_known in intrinsic units: a chord t is the arc 2 arcsin(t / 2)."""
+    t = theta_known(space)
+    if t is None:
+        return None
+    if theta_units(space) == "extrinsic":
+        return float(2 * np.arcsin(min(t, 2.0) / 2))
+    return t
+
+
 def _min_log_norm_diag(phases: np.ndarray, traceless: bool) -> float:
     """Minimal operator norm of a diagonal skew logarithm of
     diag(exp(i phases)), restricted to trace zero when traceless.

@@ -9,10 +9,6 @@ elsewhere only an upper bound is certified, by local search over the fibre.
 _dists is the one place that chooses between the two, for every caller:
 the public distances check their points and pass plain arrays to it.
 
-In the operator norm, where the subgroup's kind has a bracket,
-_sin2_bounds bounds s = sin^2(d / w) for every pair from products of
-per-point rows; callers compare the bounds with thresholds mapped into s.
-
 The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
 2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
 np.linalg.eigvals wrap the same routines, so the values are theirs bit for
@@ -159,26 +155,6 @@ def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng
     return np.array([
         _optimize_coset_dist(space, x, y, restarts, rng) for x, y in zip(a, b)
     ]).reshape(shape)
-
-
-def _bracket_features(space: HomSpace, x: np.ndarray) -> np.ndarray:
-    """Per-point feature rows for _sin2_bounds in the operator norm, in the
-    layout of the subgroup's kind (bracket_rows); zero-width rows where the
-    space has no bracket."""
-    rows = space.subgroup.bracket_rows(x) if space.norm.is_operator else None
-    return np.zeros((len(x), 0)) if rows is None else rows
-
-
-def _sin2_bounds(space: HomSpace, fa: np.ndarray, fb: np.ndarray):
-    """Bounds lo <= sin^2(d / w) <= hi on the operator-norm distance d
-    between each point of fa and each point of fb (their _bracket_features
-    rows), w the subgroup's scale, as two (len(fa), len(fb)) arrays: the
-    kind's sin2_bounds, or where there are no rows lo = -inf and hi = inf,
-    which no threshold decides."""
-    if fa.shape[1] == 0:
-        shape = (len(fa), len(fb))
-        return np.full(shape, -np.inf), np.full(shape, np.inf)
-    return space.subgroup.sin2_bounds(fa, fb, space.group)
 
 
 def quotient_dist_upper(p: CosetPoint, q: CosetPoint, restarts: int = 8, rng=0) -> float:

@@ -8,7 +8,7 @@ principal angles via scipy's independent implementation.
 import numpy as np
 import pytest
 
-from unicover.entropy import MARGIN, _sin2_cut
+from unicover.entropy import MARGIN
 
 
 @pytest.fixture
@@ -48,4 +48,5 @@ def cuts(space, epsilon):
     """The thresholds the packing loop compares a pair's bounds on sin^2(d / w)
     with at epsilon: an upper bound at most near puts the pair within
     epsilon, a lower bound above far puts it beyond."""
-    return _sin2_cut(space, epsilon - MARGIN, -np.inf), _sin2_cut(space, epsilon + MARGIN, np.inf)
+    bracket = space.bracket
+    return bracket.sin2_cut(epsilon - MARGIN, -np.inf), bracket.sin2_cut(epsilon + MARGIN, np.inf)

@@ -277,22 +277,23 @@ U5_G3_COVER = BENCH_COVER.replace("n = 4", "n = 5").replace("k = 2", "k = 3")
 ])
 def test_bracket_leaves_cover_curve_bytes_unchanged(seed, config, tmp_path, monkeypatch):
     """The bracket only decides which pairs skip the exact distance: with
-    zero-width feature rows (no bracket, every pair measured) the loops give
+    the null bracket (zero-width rows, every pair measured) the loops give
     the same CSV bytes, so an unsound bracket shows here."""
     cfg = _write(tmp_path, config)
     out, featurized = {}, []
 
-    def bare(space, x):
-        featurized.append(len(x))
-        return np.zeros((len(x), 0))
+    class Bare(SubgroupSpec):
+        def bracket_rows(self, x):
+            featurized.append(len(x))
+            return super().bracket_rows(x)
 
     for bracketed in (True, False):
         if not bracketed:
-            monkeypatch.setattr(entropy, "_bracket_features", bare)
+            monkeypatch.setattr(HomSpace, "bracket", Bare())
         out[bracketed] = tmp_path / str(bracketed)
         assert main(["run", cfg, "--seed", seed, "--out-dir", str(out[bracketed])]) == 0
     # the bracketless run featurized the whole cloud through the patched
-    # function, so it ran without a bracket
+    # bracket, so it ran without a bracket
     assert featurized == [700]
     csv = [(out[b] / "cover_curve.csv").read_bytes() for b in (True, False)]
     assert csv[0] == csv[1]
@@ -369,6 +370,18 @@ class TestConfigErrors:
                      U1_COVER.replace("3.141592653589793 1.5707963267948966",
                                       "0.5 1.0"))
         assert main(["run", cfg]) == 1
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("cover_curve", "nan"), ("cover_curve", "inf"), ("cover_curve", "inf 1.0"),
+        ("packing_curve", "3.0 nan"), ("bounds", "inf"),
+    ], ids=["cover-nan", "cover-inf", "cover-inf-first", "packing-nan-last", "bounds-inf"])
+    def test_non_finite_epsilon_grid(self, kind, grid, tmp_path, capsys):
+        cfg = _write(tmp_path, U1_COVER.replace("cover_curve", kind)
+                     .replace("3.141592653589793 1.5707963267948966", grid))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_bad_group(self, tmp_path):
         cfg = _write(tmp_path, U1_COVER.replace("group = U", "group = SU"))

@@ -11,11 +11,10 @@ import pytest
 from unicover import entropy, metrics
 from unicover.matcore import FROBENIUS, InvalidArgumentError, NormSpec, expm_skew
 from unicover.groups import GroupSpec, HomSpace, SubgroupSpec, haar_sample, haar_samples
-from unicover.metrics import _bracket_features, _dists, _sin2_bounds
+from unicover.metrics import _dists
 from unicover.entropy import (
     BLOCK,
     MARGIN,
-    _sin2_cut,
     chain_consistent,
     certify_cover,
     greedy_curve,
@@ -223,10 +222,15 @@ class TestBlockedLoops:
             assert net.probe_max_dist == np.max(nearest)
 
     def test_certify_cover_matches_per_probe_loop(self):
-        so4 = HomSpace(GroupSpec("SO", 4))
+        # the last two have no bracket: U(3)/SU(3) is a closed form without
+        # one, and the Frobenius norm switches the bare group's off
+        so4, u3 = HomSpace(GroupSpec("SO", 4)), GroupSpec("U", 3)
+        special, u3_frob = HomSpace(u3, SubgroupSpec.special()), HomSpace(u3, norm=FROBENIUS)
         for space, net in [(G31_REAL, linearized_cover(G31_REAL, 0.8)),
                            (G42, greedy_net(G42, 0.7, 200, 200, rng=1)),
-                           (so4, greedy_net(so4, 0.9, 200, 200, rng=1))]:
+                           (so4, greedy_net(so4, 0.9, 200, 200, rng=1)),
+                           (special, greedy_net(special, 0.2, 200, 200, rng=1)),
+                           (u3_frob, greedy_net(u3_frob, 2.0, 200, 200, rng=1))]:
             group = space.group if isinstance(space, HomSpace) else space
             rng = np.random.default_rng(0)
             probes = np.array([haar_sample(group, rng).matrix for _ in range(500)])
@@ -278,8 +282,7 @@ class TestBlockedLoops:
         runs = {}
         for bracketed in (True, False):
             if not bracketed:
-                monkeypatch.setattr(entropy, "_bracket_features",
-                                    lambda space, x: np.zeros((len(x), 0)))
+                monkeypatch.setattr(HomSpace, "bracket", SubgroupSpec())
             pairs.clear()
             net = greedy_net(G42, 0.6, 400, 400, rng=2)
             net_pairs = sum(pairs)
@@ -302,7 +305,7 @@ def top_pair(space, seed, gap):
     columns k and k + 1 (two equal principal angles), on U(n) it is one
     eigenphase, on SO(n) a rotation in one coordinate plane."""
     n, sub = space.n, space.subgroup
-    d = sub.w * np.pi / 2 - gap
+    d = space.bracket.w * np.pi / 2 - gap
     a = haar_samples(space.group, np.random.default_rng(seed), 1)[0]
     x = np.zeros((n, n), complex if space.group.is_complex else float)
     if sub.kind == "grassmann":
@@ -330,7 +333,7 @@ class TestTopBand:
         for seed in range(5):
             a, b = top_pair(space, seed, 1e-7)
             d = dists_to_centers(space, a, b[np.newaxis])[0]
-            assert abs(d - (space.subgroup.w * np.pi / 2 - 1e-7)) < 1e-9
+            assert abs(d - (space.bracket.w * np.pi / 2 - 1e-7)) < 1e-9
             epsilon = d * scale
             pack = greedy_packing(space, epsilon, 0, initial=[a, b])
             assert pack.count == (2 if d > epsilon else 1)
@@ -345,13 +348,16 @@ class TestTopBand:
         # MARGIN's image in s spans 1e3 ulps of s about 5.6e-5 w below
         # pi/2 in d / w; above that, and outside (0, pi/2), each cut is
         # its fill, so that neither a near nor a far decision is made
-        w = space.subgroup.w
+        bracket = space.bracket
+        w = bracket.w
         top = w * np.pi / 2
         for d in (top - 5e-5 * w * w, top - 1e-7, top, top + 1e-9, 3 * top, 0.0, -MARGIN):
-            assert _sin2_cut(space, d, -np.inf) == -np.inf
-            assert _sin2_cut(space, d, np.inf) == np.inf
+            assert bracket.sin2_cut(d, -np.inf) == -np.inf
+            assert bracket.sin2_cut(d, np.inf) == np.inf
         for d in (MARGIN, 0.3, top - 6e-5 * w * w):
-            assert _sin2_cut(space, d, np.inf) == pytest.approx(np.sin(d / w) ** 2, abs=1e-15)
+            assert bracket.sin2_cut(d, np.inf) == pytest.approx(np.sin(d / w) ** 2, abs=1e-15)
+            # sin2_dist inverts the cut (the certificate's cap goes through it)
+            assert bracket.sin2_dist(bracket.sin2_cut(d, np.inf)) == pytest.approx(d, rel=1e-6)
 
     @pytest.mark.parametrize("space", TOP_SPACES + [
         HomSpace(GroupSpec("U", 3)), HomSpace(GroupSpec("SO", 4)), G53,
@@ -368,9 +374,10 @@ class TestTopBand:
             tops = [top_pair(space, s, gap) for s, gap in enumerate((1e-3, 1e-4, 5e-5, 1e-5, 1e-7))]
             a = np.concatenate([a, [p for p, _ in tops]])
             b = np.concatenate([b, [q for _, q in tops]])
-        lo, hi = _sin2_bounds(space, _bracket_features(space, a), _bracket_features(space, b))
+        bracket = space.bracket
+        lo, hi = bracket.sin2_bounds(bracket.bracket_rows(a), bracket.bracket_rows(b), space.group)
         lo, hi, d = lo.diagonal(), hi.diagonal(), _dists(space, a, b)
-        top = space.subgroup.w * np.pi / 2
+        top = bracket.w * np.pi / 2
         grid = [0.1, 0.5, 1.0, top - 1e-3, top - 2e-4, top - 5e-5, top - 1e-5, top - 1e-7,
                 top, top + 1e-9]
         grid += [x + k * MARGIN for x in d[::10].tolist() + d[200:].tolist()
@@ -647,7 +654,8 @@ class TestEntryChecks:
     def test_budgets_are_checked_before_any_draw(self):
         # a net needs a center and a probe, and a certificate a probe and a
         # center; a packing may hold only its initial candidates; a curve
-        # needs an epsilon and candidates
+        # needs an epsilon and candidates; every epsilon is positive and
+        # finite (a nan one would pass every pair as separated)
         net = greedy_net(G42, 0.9, 5, 20, rng=0)
         empty = entropy.NetResult("net_Npp", 0.9, np.empty((0, 4, 4)), 0, False)
         calls = {
@@ -661,6 +669,14 @@ class TestEntryChecks:
             "greedy_curve(epsilon=0)": lambda rng: greedy_curve(G42, [0.9, 0.0], 5, rng=rng),
             "greedy_curve(empty grid)": lambda rng: greedy_curve(G42, [], 5, 20, rng=rng),
         }
+        for e in (np.nan, np.inf):
+            calls.update({
+                f"greedy_packing(epsilon={e})": lambda rng, e=e: greedy_packing(G42, e, 5, rng=rng),
+                f"greedy_net(epsilon={e})": lambda rng, e=e: greedy_net(G42, e, 5, 20, rng=rng),
+                f"greedy_curve(epsilon={e})": lambda rng, e=e: greedy_curve(G42, [0.9, e], 5, 20, rng=rng),
+                f"verify_separated(epsilon={e})": lambda rng, e=e: verify_separated(G42, net.points, e),
+                f"linearized_cover(epsilon={e})": lambda rng, e=e: linearized_cover(G42, e),
+            })
         for name, call in calls.items():
             rng = np.random.default_rng(5)
             with pytest.raises(InvalidArgumentError):

@@ -36,11 +36,9 @@ from unicover.metrics import (
     grassmann_dist,
     intrinsic_dist,
     quotient_dist_upper,
-    _bracket_features,
     _dists,
     _optimize_coset_dist,
     _polyline_length,
-    _sin2_bounds,
 )
 from unicover import metrics
 from unicover.entropy import dists_to_centers
@@ -455,8 +453,9 @@ PLUCKER_SPACES = [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
 def _bracket_pairs(space, a, b):
     """The bracket of the pairs (a[i], b[i]), as distances w arcsin of the
     square root of the bounds on sin^2(d / w), and their exact distance."""
-    lo, hi = _sin2_bounds(space, _bracket_features(space, a), _bracket_features(space, b))
-    w = space.subgroup.w
+    bracket = space.bracket
+    lo, hi = bracket.sin2_bounds(bracket.bracket_rows(a), bracket.bracket_rows(b), space.group)
+    w = bracket.w
     lo, hi = (w * np.arcsin(np.sqrt(np.clip(x.diagonal(), 0.0, 1.0))) for x in (lo, hi))
     return lo, hi, _dists(space, a, b)
 
@@ -550,13 +549,25 @@ class TestBracket:
         HomSpace(GroupSpec("U", 3), TRIVIAL, FROBENIUS),
     ], ids=["special", "tensor2x2", "block111", "schatten1", "schatten2"])
     def test_no_bracket(self, space):
+        # the kind has no bracket, or the norm switches it off: the space's
+        # bracket is the null one of the base class, with no scale
+        bracket = space.bracket
+        assert np.isnan(bracket.w)
+        for name in ("bracket_rows", "sin2_bounds", "sin2_cut", "sin2_dist"):
+            assert getattr(type(bracket), name) is getattr(SubgroupSpec, name), name
+        assert type(bracket) is SubgroupSpec or space.norm.is_operator
         # zero-width rows bound nothing: at any epsilon no pair is near
         # (hi at most the near cut) or far (lo above the far cut)
         a = haar_samples(space.group, np.random.default_rng(13), 5)
-        f = _bracket_features(space, a)
+        f = bracket.bracket_rows(a)
         assert f.shape == (5, 0)
-        lo, hi = _sin2_bounds(space, f, f[:3])
+        lo, hi = bracket.sin2_bounds(f, f[:3], space.group)
         assert lo.shape == hi.shape == (5, 3)
         for epsilon in (1e-6, 0.3, 1.0, np.pi / 2, 3.0, 10.0):
             near, far = cuts(space, epsilon)
             assert not np.any(hi <= near) and not np.any(lo > far)
+        # every distance maps to the fill, and no bound back to a distance
+        d = np.array([-1.0, 0.0, 1e-9, 0.3, 1.0, np.pi / 2, 3.0, 10.0, np.inf])
+        for fill in (-np.inf, np.inf):
+            assert np.all(bracket.sin2_cut(d, fill) == fill)
+        assert np.all(np.isnan(bracket.sin2_dist(np.concatenate([lo, hi]))))

@@ -17,10 +17,13 @@ bound every pair by the space's bracket (HomSpace.bracket: in the operator
 norm, on the bare group and on Grassmannians, exact to rounding on those
 with min(k, n - k) <= 2) and settle the pairs that clear epsilon, or the
 distance in question, by MARGIN, against thresholds the bracket maps once
-(its sin2_cut); only the remaining pairs reach the exact distance.  Every
-decision near epsilon and every reported value is an exact distance, so
-the results are those of the exhaustive loops.  On spaces with no bracket
-every pair is measured.
+(its sin2_cut); only the remaining pairs reach the exact distance.  The
+farthest-point run keeps per probe bounds on its nearest distance in
+place of the distance, and makes an exact call only where bounds cannot
+decide a comparison it makes, or for a radius it reports.  Every decision
+near epsilon and every reported value is an exact distance, so the results
+are those of the exhaustive loops.  On spaces with no bracket every pair
+is measured.
 
 Each public entry point checks the points a caller passes once, with
 GroupElement's rule (finite, unitary, and on SO(n) real with determinant
@@ -213,44 +216,103 @@ def greedy_net(
         raise InvalidArgumentError("sampler_budget and probe_budget must be positive")
     probes = haar_samples(space.group, np.random.default_rng(rng), probe_budget)
     feats = space.bracket.bracket_rows(probes)
-    return _net(probes, *_farthest_points(space, probes, feats, sampler_budget, epsilon), epsilon)
+    return _net(space, probes, *_farthest_points(space, probes, feats, sampler_budget, epsilon), epsilon)
 
 
 def _farthest_points(space, probes, feats, budget: int, epsilon: float):
     """The chosen rows of farthest-point insertion over the probes (feats:
-    their bracket_rows) from probe 0, and after each insertion the probes'
-    largest distance to a chosen row; it stops at a radius of epsilon * (1 +
-    NET_SLACK) or budget rows.  A new row is measured exactly only against
-    the probes its bracket might bring closer: those whose lo is below the
-    sin2_cut of nearest + MARGIN, kept per probe and recomputed where
-    nearest drops."""
-    bracket = space.bracket
+    their bracket_rows) from probe 0, and per insertion its radius, the
+    probes' largest distance to a chosen row, as (probe, center, lower,
+    upper): the pair that attains it and bounds on its distance, equal
+    where it was measured.  It stops at a radius of epsilon * (1 +
+    NET_SLACK) or budget rows.
+
+    Each probe keeps its nearest chosen row and bounds on that distance:
+    the bracket's, mapped back by sin2_dist, or the distance itself once
+    measured.  A new row's bracket takes a probe (hi below the old lower
+    bound) or leaves it (lo above the old upper bound) when it clears by 2
+    MARGIN, tested in s against thresholds kept per probe.  Where every
+    probe is settled so, nothing is measured; otherwise one exact call
+    measures the row against every probe it does not leave, and the stale
+    nearest distances of the undecided ones.  The next row is the first
+    largest of the measured distances of the probes whose upper bound
+    reaches the largest lower bound within 2 MARGIN (a single such probe is
+    not measured), and the stop test is decided by the bounds unless they
+    are within MARGIN of it.  Every pair is measured from the center, so
+    its distance does not depend on the call, and rows and distances are
+    those of measuring every pair at every insertion."""
+    bracket, m = space.bracket, len(probes)
+    owner = np.zeros(m, int)
+    # per probe, bounds on its distance to owner, and the thresholds on a
+    # new row's bracket: hi below take makes the row nearer, lo above keep
+    # farther; the first row takes every probe
+    lower, upper, take, keep = np.full((4, m), np.inf)
+    shift, fill = np.array([[-2 * MARGIN], [2 * MARGIN]]), np.array([[-np.inf], [np.inf]])
+
+    def settle(rows, lo, hi):
+        lower[rows], upper[rows] = lo, hi
+        cut = bracket.sin2_cut(np.array([lo, hi]) + shift, fill)
+        take[rows], keep[rows] = cut[0], cut[1]
+
+    def measure(rows):
+        rows = rows[lower[rows] < upper[rows]]
+        if len(rows):
+            d = _dists(space, probes[owner[rows]], probes[rows])
+            settle(rows, d, d)
+
     chosen, radii = [0], []
-    nearest = np.full(len(probes), np.inf)
-    cut = np.full(len(probes), np.inf)
+    slack = epsilon * (1.0 + NET_SLACK)
     while True:
         c = chosen[-1]
-        lo, _ = bracket.sin2_bounds(feats[c:c + 1], feats, space.group)
-        near = np.flatnonzero(lo[0] < cut)
-        d = _dists(space, probes[c], probes[near])
-        drop = d < nearest[near]
-        near, d = near[drop], d[drop]
-        nearest[near], cut[near] = d, bracket.sin2_cut(d + MARGIN, np.inf)
-        worst = int(np.argmax(nearest))
-        radii.append(float(nearest[worst]))
-        if radii[-1] <= epsilon * (1.0 + NET_SLACK) or len(chosen) >= budget:
+        lo, hi = (b[0] for b in bracket.sin2_bounds(feats[c:c + 1], feats, space.group))
+        near = (lo <= keep).nonzero()[0]
+        undecided = hi[near] >= take[near]
+        if not undecided.any():
+            owner[near] = c
+            settle(near, *bracket.sin2_dist(np.array([lo[near], hi[near]])))
+        else:
+            # the taken probes are measured too, so that they do not go stale
+            old = lower[near]
+            stale = undecided & (old < upper[near])
+            if stale.any():
+                d = _dists(space, probes[np.concatenate([np.full(len(near), c), owner[near[stale]]])],
+                           probes[np.concatenate([near, near[stale]])])
+                d, old[stale] = d[:len(near)], d[len(near):]
+            else:
+                d = _dists(space, probes[c], probes[near])
+            drop = d < old
+            owner[near[drop]] = c
+            drop |= stale
+            d = np.minimum(d, old)[drop]
+            settle(near[drop], d, d)
+        i = lower.argmax()
+        top = (upper >= lower[i] - 2 * MARGIN).nonzero()[0]
+        if len(top) > 1:
+            measure(top)
+            i = top[lower[top].argmax()]
+        worst, done = int(i), len(chosen) >= budget
+        if not done and lower[worst] <= slack + MARGIN and upper[worst] > slack - MARGIN:
+            measure(np.array([worst]))  # the bounds do not settle the stop test
+        radii.append((worst, int(owner[worst]), float(lower[worst]), float(upper[worst])))
+        if done or upper[worst] <= slack:
             return chosen, radii
         chosen.append(worst)
 
 
-def _net(probes, chosen, radii, epsilon: float) -> NetResult:
+def _net(space, probes, chosen, radii, epsilon: float) -> NetResult:
     """The net at epsilon from a _farthest_points run to epsilon or below:
     the shortest prefix of its rows whose radius is within epsilon * (1 +
-    NET_SLACK), or all of them, the budget exhausted."""
+    NET_SLACK), or all of them, the budget exhausted.  A radius is measured
+    only where its bounds do not clear that threshold by MARGIN, and for
+    the prefix it reports.  Bracket bounds have positive width (the
+    bracket's slack), so equal bounds are a measured distance."""
     slack = epsilon * (1.0 + NET_SLACK)
-    k = next((i + 1 for i, r in enumerate(radii) if r <= slack), len(radii))
-    return NetResult("net_Npp", epsilon, probes[chosen[:k]], k, radii[k - 1] > slack,
-                     len(probes), radii[k - 1])
+    for k, (p, c, lo, hi) in enumerate(radii, 1):
+        stop = k == len(radii) or hi <= slack - MARGIN
+        if lo < hi and (stop or lo <= slack + MARGIN):
+            lo = hi = float(_dists(space, probes[c], probes[p]))
+        if stop or hi <= slack:
+            return NetResult("net_Npp", epsilon, probes[chosen[:k]], k, hi > slack, len(probes), hi)
 
 
 def greedy_curve(
@@ -282,7 +344,7 @@ def greedy_curve(
         order = _farthest_points(space, probes, feats[:probe_budget], budget, min(grid))
     curve, kept = [], np.empty(0, int)
     for eps in grid:
-        net = None if probe_budget is None else _net(probes, *order, eps)
+        net = None if probe_budget is None else _net(space, probes, *order, eps)
         seeds = kept if net is None else np.concatenate([order[0][:net.count], kept])
         kept = _pack(space, cloud, feats, seeds, np.arange(budget), eps)
         curve.append((NetResult("packing_tilde", eps, cloud[kept], len(kept), True), net))
@@ -387,18 +449,19 @@ def theorem8_bounds(
     flagged inapplicable outside (0, theta/4]; the upper outside
     (0, diam].
     """
+    if not 0 < epsilon < np.inf:
+        raise InvalidArgumentError("epsilon must be positive and finite")
     d = space.dim
     diam = diameter_known(space)
     theta = _theta_intrinsic(space)
     lower = upper = None
     lower_ok = upper_ok = False
-    if theta is not None and 0 < epsilon <= theta / 4:
-        lower_ok = True
     if theta is not None:
         lower = (c * theta / epsilon) ** d
+        lower_ok = epsilon <= theta / 4
     if diam is not None:
         upper = (C * diam / epsilon) ** d
-        upper_ok = 0 < epsilon <= diam
+        upper_ok = epsilon <= diam
     return BoundReport(
         epsilon=epsilon,
         dim_M=d,

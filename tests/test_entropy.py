@@ -145,6 +145,32 @@ def sequential_packing(space, epsilon, budget, rng, initial=()):
     return centers
 
 
+def farthest_point_loop(space, probes, budget, epsilon):
+    """The exhaustive farthest-point insertion the net must reproduce: every
+    probe measured against every new center, measured from the center, the
+    first farthest probe chosen next; the chosen rows and the radius after
+    each insertion."""
+    chosen, radii, nearest = [0], [], np.full(len(probes), np.inf)
+    while True:
+        nearest = np.minimum(nearest, dists_to_centers(space, probes[chosen[-1]], probes))
+        worst = int(np.argmax(nearest))
+        radii.append(nearest[worst])
+        if nearest[worst] <= epsilon * 1.01 or len(chosen) >= budget:
+            return chosen, radii
+        chosen.append(worst)
+
+
+def straddle(r):
+    """The largest epsilon whose net threshold epsilon * (1 + NET_SLACK) is
+    below r, and the next float up, whose threshold is not."""
+    e = r / (1 + entropy.NET_SLACK)
+    while e * (1 + entropy.NET_SLACK) < r:
+        e = np.nextafter(e, np.inf)
+    while e * (1 + entropy.NET_SLACK) >= r:
+        e = np.nextafter(e, 0)
+    return e, np.nextafter(e, np.inf)
+
+
 class TestBlockedLoops:
     """The block-wise, bracketed loops accept, reject and report exactly
     what the sequential exhaustive loops do."""
@@ -203,23 +229,54 @@ class TestBlockedLoops:
         with pytest.raises(AssertionError, match=f"points {size - 2} and {size - 1} "):
             verify_separated(g, pts, 0.5)
 
-    def test_net_matches_farthest_point_loop(self):
-        for space, epsilon in [(G31_REAL, 0.4), (G42, 0.6), (G53, 0.7),
-                               (HomSpace(GroupSpec("SO", 4)), 0.8)]:
-            group = space.group if isinstance(space, HomSpace) else space
-            rng = np.random.default_rng(3)
-            probes = np.array([haar_sample(group, rng).matrix for _ in range(300)])
-            # every probe measured against every new center
-            chosen, nearest = [0], np.full(300, np.inf)
-            while True:
-                nearest = np.minimum(nearest, dists_to_centers(space, probes[chosen[-1]], probes))
-                worst = int(np.argmax(nearest))
-                if nearest[worst] <= epsilon * 1.01:
-                    break
-                chosen.append(worst)
-            net = greedy_net(space, epsilon, 300, 300, rng=3)
-            assert np.array_equal(net.points, probes[chosen])
-            assert net.probe_max_dist == np.max(nearest)
+    @pytest.mark.parametrize("space, epsilon", [
+        (G31_REAL, 0.4), (G42, 0.6), (G53, 0.7), (HomSpace(GroupSpec("SO", 4)), 0.8),
+        # a one-pair bracket exact to rounding: every update is deferred
+        (HomSpace(GroupSpec("SO", 3)), 0.45),
+        # a loose [s/3, s] bracket: many undecided pairs
+        (HomSpace(GroupSpec("U", 6), SubgroupSpec.grassmann(3)), 0.9),
+        # no bracket: every pair is measured
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), 0.05),
+        (HomSpace(GroupSpec("U", 3), norm=FROBENIUS), 2.0),
+    ], ids=["SO3-grassmann1", "U4-grassmann2", "U5-grassmann3", "SO4", "SO3",
+            "U6-grassmann3", "U3-special", "U3-frobenius"])
+    def test_net_matches_farthest_point_loop(self, space, epsilon):
+        rng = np.random.default_rng(3)
+        probes = np.array([haar_sample(space.group, rng).matrix for _ in range(300)])
+        chosen, radii = farthest_point_loop(space, probes, 300, epsilon)
+        net = greedy_net(space, epsilon, 300, 300, rng=3)
+        assert np.array_equal(net.points, probes[chosen])
+        assert net.probe_max_dist == radii[-1]
+        assert not net.budget_exhausted
+
+    @pytest.mark.parametrize("space, points", [
+        (HomSpace(GroupSpec("SO", 3)), np.array([
+            s * np.eye(3)[list(p)] for p in itertools.permutations(range(3))
+            for s in itertools.product((1.0, -1.0), repeat=3)
+            if np.linalg.det(s * np.eye(3)[list(p)]) > 0])),
+        (U1, np.exp(2j * np.pi * np.arange(12) / 12)[:, np.newaxis, np.newaxis]),
+        (G42, haar_samples(G42.group, np.random.default_rng(7), 40)),
+    ], ids=["SO3-octahedral", "U1-twelve", "U4-grassmann2-haar"])
+    def test_farthest_points_at_ties_and_thresholds(self, space, points):
+        # on the symmetric clouds many distances are equal up to rounding,
+        # hence within MARGIN of one another, so the bracket settles no
+        # choice of the next center; a threshold an ulp either side of a
+        # radius known only by its bounds settles no stop test
+        feats = space.bracket.bracket_rows(points)
+        full = farthest_point_loop(space, points, len(points), 1e-3)
+        cuts = sorted({e for r in full[1] if r > 1e-3 for e in straddle(r)})
+        for epsilon in [1e-3, *cuts]:
+            want, want_radii = farthest_point_loop(space, points, len(points), epsilon)
+            chosen, radii = entropy._farthest_points(space, points, feats, len(points), epsilon)
+            assert chosen == want
+            for (p, c, lo, hi), r in zip(radii, want_radii, strict=True):
+                d = dists_to_centers(space, points[c], points[p:p + 1])[0]
+                assert d == r and lo <= r <= hi
+            if epsilon == 1e-3:
+                for eps in cuts:
+                    net = entropy._net(space, points, chosen, radii, eps)
+                    k = next((i + 1 for i, r in enumerate(want_radii) if r <= eps * 1.01), len(want))
+                    assert net.count == k and net.probe_max_dist == want_radii[k - 1]
 
     def test_certify_cover_matches_per_probe_loop(self):
         # the last two have no bracket: U(3)/SU(3) is a closed form without
@@ -275,7 +332,7 @@ class TestBlockedLoops:
 
         def counted(space, a, b):
             d = real(space, a, b)
-            pairs.append(d.size)
+            pairs.append(np.size(d))
             return d
 
         monkeypatch.setattr(entropy, "_dists", counted)
@@ -290,9 +347,10 @@ class TestBlockedLoops:
             runs[bracketed] = (net_pairs, sum(pairs) - net_pairs, net, pack)
         (net_pairs, pack_pairs, net, pack), (_, _, net0, pack0) = runs[True], runs[False]
         # the Pluecker bracket pins every distance of U(4)/G(4,2) to
-        # rounding: the net measures only the probes a new center brings
-        # closer, the packing almost nothing
+        # rounding: the net measures little more than the radius it
+        # reports, the packing almost nothing
         assert net_pairs + pack_pairs < 0.05 * sum(runs[False][:2])
+        assert net_pairs <= 4
         assert pack_pairs <= 5
         assert np.array_equal(net.points, net0.points)
         assert net.probe_max_dist == net0.probe_max_dist
@@ -669,13 +727,14 @@ class TestEntryChecks:
             "greedy_curve(epsilon=0)": lambda rng: greedy_curve(G42, [0.9, 0.0], 5, rng=rng),
             "greedy_curve(empty grid)": lambda rng: greedy_curve(G42, [], 5, 20, rng=rng),
         }
-        for e in (np.nan, np.inf):
+        for e in (np.nan, np.inf, -0.5):
             calls.update({
                 f"greedy_packing(epsilon={e})": lambda rng, e=e: greedy_packing(G42, e, 5, rng=rng),
                 f"greedy_net(epsilon={e})": lambda rng, e=e: greedy_net(G42, e, 5, 20, rng=rng),
                 f"greedy_curve(epsilon={e})": lambda rng, e=e: greedy_curve(G42, [0.9, e], 5, 20, rng=rng),
                 f"verify_separated(epsilon={e})": lambda rng, e=e: verify_separated(G42, net.points, e),
                 f"linearized_cover(epsilon={e})": lambda rng, e=e: linearized_cover(G42, e),
+                f"theorem8_bounds(epsilon={e})": lambda rng, e=e: theorem8_bounds(G42, e),
             })
         for name, call in calls.items():
             rng = np.random.default_rng(5)

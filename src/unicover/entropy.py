@@ -16,13 +16,13 @@ farthest-point order, which does not depend on epsilon.  The loops first
 bound every pair by the space's bracket (HomSpace.bracket: in the operator
 norm, on the bare group and on Grassmannians, exact to rounding on those
 with min(k, n - k) <= 2) and settle the pairs that clear epsilon, or the
-distance in question, by MARGIN, against thresholds the bracket maps once
-(its sin2_cut); only the remaining pairs reach the exact distance.  The
-farthest-point run keeps per probe bounds on its nearest distance in
-place of the distance, and makes an exact call only where bounds cannot
-decide a comparison it makes, or for a radius it reports.  Every decision
-near epsilon and every reported value is an exact distance, so the results
-are those of the exhaustive loops.  On spaces with no bracket every pair
+distance in question, by MARGIN in s = sin^2(d / w), the coordinate of the
+bounds; only the remaining pairs reach the exact distance.  The
+farthest-point run keeps per probe bounds in s on its nearest distance,
+and makes an exact call only where bounds cannot decide a comparison it
+makes, or for a radius it reports.  Every decision near epsilon and every
+reported value is an exact distance, so the results are those of the
+exhaustive loops.  On spaces with no bracket every pair
 is measured.
 
 Each public entry point checks the points a caller passes once, with
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import MARGIN, HomSpace, _elements, component_basis, haar_samples
+from .groups import HomSpace, _elements, component_basis, haar_samples
 from .metrics import _dists
 from .invariants import _theta_intrinsic, diameter_known, kappa_known, theta_known
 
@@ -47,6 +47,14 @@ from .invariants import _theta_intrinsic, diameter_known, kappa_known, theta_kno
 # a time: enough to amortize the per-call overhead, few enough that a
 # block's temporaries stay small beside the arrays of centers and probes.
 BLOCK = 16
+
+# A bracket settles a pair only when its bound clears the threshold in
+# s = sin^2(d / w) by this much.  As |sin^2 x - sin^2 y| <= |x - y|, a gap
+# of MARGIN in s is a gap of at least w MARGIN >= MARGIN in d: far above the
+# rounding of the bracket and of the exact distances, far below any
+# separation a construction resolves.  Where sin^2 is flat, near d = 0 and
+# d = w pi/2, it is wider in d than MARGIN, and more pairs are measured.
+MARGIN = 1e-9
 
 # greedy_net covers every probe within epsilon * (1 + NET_SLACK).
 NET_SLACK = 0.01
@@ -88,9 +96,9 @@ class BoundReport:
 def _all_farther(space, a, b, lo, hi, cuts, epsilon: float) -> np.ndarray:
     """For each point of a, whether its distance to every point of b
     exceeds epsilon, given the bracket bounds lo and hi of each pair and
-    cuts, the sin2_cut of epsilon -+ MARGIN.  A pair with hi <= near fails
-    its row; the pairs of the other rows with lo <= far, if any, are
-    measured exactly, in one batched call."""
+    cuts, sin2(epsilon) -+ MARGIN.  A pair with hi <= near fails its row;
+    the pairs of the other rows with lo <= far, if any, are measured
+    exactly, in one batched call."""
     near, far = cuts
     ok = ~np.any(hi <= near, axis=1)
     rows, cols = np.nonzero(ok[:, np.newaxis] & (lo <= far))
@@ -161,7 +169,7 @@ def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
     cfeats = np.empty((total, feats.shape[1]))
     kept = np.empty(total, int)
     bracket = space.bracket
-    cuts = bracket.sin2_cut(epsilon - MARGIN, -np.inf), bracket.sin2_cut(epsilon + MARGIN, np.inf)
+    cuts = bracket.sin2(epsilon) - MARGIN, bracket.sin2(epsilon) + MARGIN
     count = 0
     for rows in chain(_blocks(seeds), _blocks(cands)):
         block, fb, base = points[rows], feats[rows], count
@@ -223,78 +231,70 @@ def _farthest_points(space, probes, feats, budget: int, epsilon: float):
     """The chosen rows of farthest-point insertion over the probes (feats:
     their bracket_rows) from probe 0, and per insertion its radius, the
     probes' largest distance to a chosen row, as (probe, center, lower,
-    upper): the pair that attains it and bounds on its distance, equal
-    where it was measured.  It stops at a radius of epsilon * (1 +
-    NET_SLACK) or budget rows.
+    upper, dist): the pair that attains it, bounds in s on its distance
+    and the distance, nan if not measured.  It stops at a radius of
+    epsilon * (1 + NET_SLACK) or budget rows.
 
-    Each probe keeps its nearest chosen row and bounds on that distance:
-    the bracket's, mapped back by sin2_dist, or the distance itself once
-    measured.  A new row's bracket takes a probe (hi below the old lower
-    bound) or leaves it (lo above the old upper bound) when it clears by 2
-    MARGIN, tested in s against thresholds kept per probe.  Where every
-    probe is settled so, nothing is measured; otherwise one exact call
-    measures the row against every probe it does not leave, and the stale
+    Each probe keeps the same four for its nearest chosen row.  A new row's
+    bracket takes a probe (hi below its lower bound) or leaves it (lo above
+    its upper bound) when it clears by 2 MARGIN; where it settles every
+    probe so, nothing is measured, and otherwise one exact call measures
+    the row against every probe it does not leave and the unmeasured
     nearest distances of the undecided ones.  The next row is the first
-    largest of the measured distances of the probes whose upper bound
-    reaches the largest lower bound within 2 MARGIN (a single such probe is
-    not measured), and the stop test is decided by the bounds unless they
-    are within MARGIN of it.  Every pair is measured from the center, so
-    its distance does not depend on the call, and rows and distances are
-    those of measuring every pair at every insertion."""
+    largest measured distance among the probes whose upper bound reaches
+    the largest lower bound within 2 MARGIN (a lone one is not measured);
+    the stop test is decided by the bounds unless they are within MARGIN
+    of it.  Every pair is measured from the center, so rows and distances
+    are those of measuring every pair at every insertion."""
     bracket, m = space.bracket, len(probes)
     owner = np.zeros(m, int)
-    # per probe, bounds on its distance to owner, and the thresholds on a
-    # new row's bracket: hi below take makes the row nearer, lo above keep
-    # farther; the first row takes every probe
-    lower, upper, take, keep = np.full((4, m), np.inf)
-    shift, fill = np.array([[-2 * MARGIN], [2 * MARGIN]]), np.array([[-np.inf], [np.inf]])
+    # before the first row, every distance is inf, and that row takes all
+    lower, upper, dist = np.full((3, m), np.inf)
 
-    def settle(rows, lo, hi):
-        lower[rows], upper[rows] = lo, hi
-        cut = bracket.sin2_cut(np.array([lo, hi]) + shift, fill)
-        take[rows], keep[rows] = cut[0], cut[1]
+    def settle(rows, d):
+        dist[rows] = d
+        lower[rows] = upper[rows] = bracket.sin2(d)
 
     def measure(rows):
-        rows = rows[lower[rows] < upper[rows]]
+        rows = rows[np.isnan(dist[rows])]
         if len(rows):
-            d = _dists(space, probes[owner[rows]], probes[rows])
-            settle(rows, d, d)
+            settle(rows, _dists(space, probes[owner[rows]], probes[rows]))
 
     chosen, radii = [0], []
     slack = epsilon * (1.0 + NET_SLACK)
+    cut = bracket.sin2(slack)
     while True:
         c = chosen[-1]
         lo, hi = (b[0] for b in bracket.sin2_bounds(feats[c:c + 1], feats, space.group))
-        near = (lo <= keep).nonzero()[0]
-        undecided = hi[near] >= take[near]
+        near = (lo <= upper + 2 * MARGIN).nonzero()[0]
+        undecided = hi[near] >= lower[near] - 2 * MARGIN
         if not undecided.any():
             owner[near] = c
-            settle(near, *bracket.sin2_dist(np.array([lo[near], hi[near]])))
+            lower[near], upper[near], dist[near] = lo[near], hi[near], np.nan
         else:
             # the taken probes are measured too, so that they do not go stale
-            old = lower[near]
-            stale = undecided & (old < upper[near])
+            old = dist[near]
+            stale = undecided & np.isnan(old)
             if stale.any():
                 d = _dists(space, probes[np.concatenate([np.full(len(near), c), owner[near[stale]]])],
                            probes[np.concatenate([near, near[stale]])])
                 d, old[stale] = d[:len(near)], d[len(near):]
             else:
                 d = _dists(space, probes[c], probes[near])
-            drop = d < old
+            drop = ~undecided | (d < old)
             owner[near[drop]] = c
-            drop |= stale
-            d = np.minimum(d, old)[drop]
-            settle(near[drop], d, d)
+            settle(near, np.where(drop, d, old))
         i = lower.argmax()
         top = (upper >= lower[i] - 2 * MARGIN).nonzero()[0]
         if len(top) > 1:
             measure(top)
-            i = top[lower[top].argmax()]
+            i = top[dist[top].argmax()]
         worst, done = int(i), len(chosen) >= budget
-        if not done and lower[worst] <= slack + MARGIN and upper[worst] > slack - MARGIN:
+        if not done and lower[worst] <= cut + MARGIN and upper[worst] > cut - MARGIN:
             measure(np.array([worst]))  # the bounds do not settle the stop test
-        radii.append((worst, int(owner[worst]), float(lower[worst]), float(upper[worst])))
-        if done or upper[worst] <= slack:
+        r = float(dist[worst])
+        radii.append((worst, int(owner[worst]), float(lower[worst]), float(upper[worst]), r))
+        if done or (upper[worst] <= cut if np.isnan(r) else r <= slack):
             return chosen, radii
         chosen.append(worst)
 
@@ -303,16 +303,16 @@ def _net(space, probes, chosen, radii, epsilon: float) -> NetResult:
     """The net at epsilon from a _farthest_points run to epsilon or below:
     the shortest prefix of its rows whose radius is within epsilon * (1 +
     NET_SLACK), or all of them, the budget exhausted.  A radius is measured
-    only where its bounds do not clear that threshold by MARGIN, and for
-    the prefix it reports.  Bracket bounds have positive width (the
-    bracket's slack), so equal bounds are a measured distance."""
+    only where its bounds do not clear that threshold by MARGIN in s, and
+    for the prefix it reports."""
     slack = epsilon * (1.0 + NET_SLACK)
-    for k, (p, c, lo, hi) in enumerate(radii, 1):
-        stop = k == len(radii) or hi <= slack - MARGIN
-        if lo < hi and (stop or lo <= slack + MARGIN):
-            lo = hi = float(_dists(space, probes[c], probes[p]))
-        if stop or hi <= slack:
-            return NetResult("net_Npp", epsilon, probes[chosen[:k]], k, hi > slack, len(probes), hi)
+    cut = space.bracket.sin2(slack)
+    for k, (p, c, lo, hi, d) in enumerate(radii, 1):
+        stop = k == len(radii) or hi <= cut - MARGIN
+        if np.isnan(d) and (stop or lo <= cut + MARGIN):
+            d = float(_dists(space, probes[c], probes[p]))
+        if stop or d <= slack:
+            return NetResult("net_Npp", epsilon, probes[chosen[:k]], k, d > slack, len(probes), d)
 
 
 def greedy_curve(
@@ -410,9 +410,9 @@ def certify_cover(
     """Max distance from Haar probes to the nearest net center; stores it on
     the result and returns it.  A probe's smallest bracket upper bound caps
     its nearest distance, so only the centers whose lower bound is within
-    MARGIN of that cap (its sin2_cut) are measured.  Each pair is measured
-    from the center, as greedy_net measures it, so a net certified on its
-    own probe stream gives back its probe_max_dist."""
+    MARGIN of that cap are measured.  Each pair is measured from the
+    center, as greedy_net measures it, so a net certified on its own probe
+    stream gives back its probe_max_dist."""
     if probe_budget < 1:
         raise InvalidArgumentError("probe_budget must be positive")
     centers = _elements(space.group, net.points)
@@ -424,8 +424,7 @@ def certify_cover(
     worst = 0.0
     for block in _blocks(haar_samples(space.group, rng, probe_budget)):
         lo, hi = bracket.sin2_bounds(bracket.bracket_rows(block), feats, space.group)
-        cap = bracket.sin2_dist(np.min(hi, axis=1, keepdims=True))
-        rows, cols = np.nonzero(lo <= bracket.sin2_cut(cap + MARGIN, np.inf))
+        rows, cols = np.nonzero(lo <= np.min(hi, axis=1, keepdims=True) + MARGIN)
         nearest = np.full(len(block), np.inf)
         np.minimum.at(nearest, rows, _dists(space, centers[cols], block[rows]))
         worst = max(worst, float(np.max(nearest)))

@@ -65,8 +65,8 @@ class SubgroupSpec:
     of each matrix of a stack, onto the subalgebra) and its CSV label; the
     attributes and methods here are the defaults of a kind that lacks the
     fact in question: for the operator-norm bracket on s = sin^2(d / w)
-    (w, bracket_rows, sin2_bounds, sin2_cut and its inverse sin2_dist) the
-    null bracket, which decides nothing (see HomSpace.bracket)."""
+    (w, bracket_rows, sin2_bounds and sin2, the map of d into s) the null
+    bracket, which decides nothing (see HomSpace.bracket)."""
 
     k = None  # grassmann and tensor_factor only
     kappa = None  # complement-projection norm, where the structure pins it
@@ -74,7 +74,7 @@ class SubgroupSpec:
     theta_units = None  # "intrinsic" or "extrinsic"
     traceless = False  # theta witnesses need a trace-zero logarithm
     reducing_first = False  # theorem 11 names a reducing subspace first
-    w = np.nan  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
+    w = None  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
 
     @staticmethod
     def trivial() -> "SubgroupSpec":
@@ -123,20 +123,12 @@ class SubgroupSpec:
         shape = (len(fa), len(fb))
         return np.full(shape, -np.inf), np.full(shape, np.inf)
 
-    def sin2_cut(self, d, fill):
-        """The distances d as thresholds on sin2_bounds: sin^2(d / w), or
-        fill (-inf for an upper bound, inf for a lower bound: no decision)
-        for x = d / w outside (0, top), and with no bracket (w nan).  Above
-        top, MARGIN's image in s, about 2 (pi/2 - x) MARGIN / w, spans fewer
-        than 1e3 ulps of s (eps / 2 each), which the rounding of s could eat."""
-        top = np.pi / 2 - 1e3 * (np.finfo(float).eps / 2) * self.w / (2 * MARGIN)
-        x = np.asarray(d, dtype=float) / self.w
-        return np.where((x > 0) & (x < top), np.sin(x) ** 2, fill)
-
-    def sin2_dist(self, s):
-        """The distances w arcsin(sqrt(s)) whose sin^2(d / w) is s, clipped
-        to [0, 1]: the inverse of sin2_cut, nan with no bracket."""
-        return self.w * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+    def sin2(self, d):
+        """The distances d in the coordinate of sin2_bounds: sin^2(d / w),
+        d / w clipped to [0, pi/2], or d itself with no bracket."""
+        if self.w is None:
+            return d
+        return np.sin(np.clip(np.divide(d, self.w), 0.0, np.pi / 2)) ** 2
 
     def diameter(self, group: GroupSpec, norm: NormSpec) -> Optional[float]:
         """The gauge of the phases between two farthest cosets, or None."""
@@ -168,11 +160,6 @@ _BRACKET_SLACK = 1e-12
 # sin^2, 1 - (e1 - r) / 2, by half of delta plus that: at most about 1.4e-6
 # at a double root, about 1e-11 where the two angles are apart.
 _ROOT_FLOOR = np.sqrt(8 * _BRACKET_SLACK)
-
-# A bracket settles a pair only when it clears the threshold by this much:
-# far above the rounding of the bracket and of the exact distances, far
-# below any separation a construction resolves.
-MARGIN = 1e-9
 
 _NO_BRACKET = SubgroupSpec()
 

@@ -48,5 +48,5 @@ def cuts(space, epsilon):
     """The thresholds the packing loop compares a pair's bounds on sin^2(d / w)
     with at epsilon: an upper bound at most near puts the pair within
     epsilon, a lower bound above far puts it beyond."""
-    bracket = space.bracket
-    return bracket.sin2_cut(epsilon - MARGIN, -np.inf), bracket.sin2_cut(epsilon + MARGIN, np.inf)
+    s = space.bracket.sin2(epsilon)
+    return s - MARGIN, s + MARGIN

@@ -269,9 +269,14 @@ class TestBlockedLoops:
             want, want_radii = farthest_point_loop(space, points, len(points), epsilon)
             chosen, radii = entropy._farthest_points(space, points, feats, len(points), epsilon)
             assert chosen == want
-            for (p, c, lo, hi), r in zip(radii, want_radii, strict=True):
+            for (p, c, lo, hi, dist), r in zip(radii, want_radii, strict=True):
                 d = dists_to_centers(space, points[c], points[p:p + 1])[0]
-                assert d == r and lo <= r <= hi
+                assert d == r
+                # bounds in s, or a measured distance
+                if np.isnan(dist):
+                    assert lo <= space.bracket.sin2(r) <= hi
+                else:
+                    assert dist == r and lo == hi
             if epsilon == 1e-3:
                 for eps in cuts:
                     net = entropy._net(space, points, chosen, radii, eps)
@@ -324,7 +329,8 @@ class TestBlockedLoops:
             verify_separated(space, pair, max(d))
         verify_separated(space, pair, min(d) / (1 + 1e-6))
 
-    def test_bracket_spares_most_exact_distances(self, monkeypatch):
+    @pytest.mark.parametrize("space", [G42, HomSpace(GroupSpec("SO", 3))], ids=["U4-grassmann2", "SO3"])
+    def test_bracket_spares_most_exact_distances(self, monkeypatch, space):
         # a bracket that were silently bypassed would send every pair to
         # the exact path; the results must not depend on it
         pairs = []
@@ -341,14 +347,15 @@ class TestBlockedLoops:
             if not bracketed:
                 monkeypatch.setattr(HomSpace, "bracket", SubgroupSpec())
             pairs.clear()
-            net = greedy_net(G42, 0.6, 400, 400, rng=2)
+            net = greedy_net(space, 0.6, 400, 400, rng=2)
             net_pairs = sum(pairs)
-            pack = greedy_packing(G42, 0.6, 400, rng=2, initial=net.points)
+            pack = greedy_packing(space, 0.6, 400, rng=2, initial=net.points)
             runs[bracketed] = (net_pairs, sum(pairs) - net_pairs, net, pack)
         (net_pairs, pack_pairs, net, pack), (_, _, net0, pack0) = runs[True], runs[False]
-        # the Pluecker bracket pins every distance of U(4)/G(4,2) to
-        # rounding: the net measures little more than the radius it
-        # reports, the packing almost nothing
+        # the Pluecker bracket of U(4)/G(4,2) and the one-phase bracket of
+        # SO(3) pin every distance to rounding: the net measures little
+        # more than the radius it reports, the packing almost nothing; on
+        # SO(3) the net's centres lie near the largest distance, pi
         assert net_pairs + pack_pairs < 0.05 * sum(runs[False][:2])
         assert net_pairs <= 4
         assert pack_pairs <= 5
@@ -381,9 +388,8 @@ TOP_IDS = ["U4-grassmann2", "U2", "SO3"]
 
 
 class TestTopBand:
-    """Just below the largest distance w pi/2, sin^2 is too flat for a
-    threshold in s to be compared soundly: there the bracket decides
-    nothing and every pair is measured."""
+    """Just below the largest distance w pi/2, sin^2 is flat: a margin in s
+    is wide in d there, and the bracket's decisions must still be sound."""
 
     @pytest.mark.parametrize("scale", [1 - 2e-7, 1 + 2e-7], ids=["below", "above"])
     @pytest.mark.parametrize("space", TOP_SPACES, ids=TOP_IDS)
@@ -402,20 +408,31 @@ class TestTopBand:
                     verify_separated(space, [a, b], epsilon)
 
     @pytest.mark.parametrize("space", TOP_SPACES, ids=TOP_IDS)
-    def test_band_cuts_decide_nothing(self, space):
-        # MARGIN's image in s spans 1e3 ulps of s about 5.6e-5 w below
-        # pi/2 in d / w; above that, and outside (0, pi/2), each cut is
-        # its fill, so that neither a near nor a far decision is made
+    def test_sin2_is_monotone_clipped_and_keeps_the_margin(self, space):
+        # a gap of MARGIN in s must be a gap of w MARGIN in d, near 0, in
+        # mid-range and just below the top, where sin^2 is flat
         bracket = space.bracket
         w = bracket.w
         top = w * np.pi / 2
-        for d in (top - 5e-5 * w * w, top - 1e-7, top, top + 1e-9, 3 * top, 0.0, -MARGIN):
-            assert bracket.sin2_cut(d, -np.inf) == -np.inf
-            assert bracket.sin2_cut(d, np.inf) == np.inf
-        for d in (MARGIN, 0.3, top - 6e-5 * w * w):
-            assert bracket.sin2_cut(d, np.inf) == pytest.approx(np.sin(d / w) ** 2, abs=1e-15)
-            # sin2_dist inverts the cut (the certificate's cap goes through it)
-            assert bracket.sin2_dist(bracket.sin2_cut(d, np.inf)) == pytest.approx(d, rel=1e-6)
+        d = np.linspace(0.0, top, 10001)
+        assert np.all(np.diff(bracket.sin2(d)) >= 0)
+        assert bracket.sin2(d[1000]) == pytest.approx(np.sin(d[1000] / w) ** 2, abs=1e-16)
+        assert bracket.sin2(-1e-9) == bracket.sin2(-3.0) == bracket.sin2(0.0) == 0.0
+        assert bracket.sin2(top + 1e-9) == bracket.sin2(3 * top) == bracket.sin2(top) == 1.0
+        # pairs x < y from near 0, mid-range (at top / 2 the slope of sin^2
+        # in d is largest, 1 / w) and below the top, some ending within
+        # 1e-7 of it or past it; a gap of exactly w MARGIN is a tie that
+        # rounding of y - x and of s decides either way (both to 1e-7)
+        x = np.array([0.0, 1e-9, 1e-6, 1e-4, 0.3 * w, top / 2, w, top - 1e-3, top - 1e-4,
+                      top - 3e-5, top - 1e-7, top - 3e-8, top])
+        gap = w * MARGIN * np.array([0.5, 0.99, 1.01, 2.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7])
+        x, y = np.repeat(x, len(gap)), np.repeat(x, len(gap)) + np.tile(gap, len(x))
+        wide = bracket.sin2(y) - bracket.sin2(x) > MARGIN
+        assert np.count_nonzero(wide) > len(y) // 4
+        assert np.any(wide & (y > top - 1e-7)) and np.any(wide & (y - x < 1.02 * w * MARGIN))
+        assert np.all(y[wide] - x[wide] > w * MARGIN)
+        # with no bracket, sin2 is the identity
+        assert SubgroupSpec().sin2(d) is d
 
     @pytest.mark.parametrize("space", TOP_SPACES + [
         HomSpace(GroupSpec("U", 3)), HomSpace(GroupSpec("SO", 4)), G53,
@@ -423,8 +440,8 @@ class TestTopBand:
     ], ids=TOP_IDS + ["U3", "SO4", "U5-grassmann3", "U3-grassmann1"])
     def test_decided_pairs_agree_with_exact_distance(self, space):
         # Haar pairs and pairs at a few gaps below the top, on an epsilon
-        # grid through the band and through every pair's own distance
-        # within a few MARGIN: a pair the bracket decides near has
+        # grid through the flat top of sin^2 and through every pair's own
+        # distance within a few MARGIN: a pair the bracket decides near has
         # d <= epsilon, one it decides far has d > epsilon
         rng = np.random.default_rng(31)
         a, b = haar_samples(space.group, rng, 200), haar_samples(space.group, rng, 200)

@@ -451,8 +451,9 @@ PLUCKER_SPACES = [HomSpace(GroupSpec(g, n), SubgroupSpec.grassmann(k))
 
 
 def _bracket_pairs(space, a, b):
-    """The bracket of the pairs (a[i], b[i]), as distances w arcsin of the
-    square root of the bounds on sin^2(d / w), and their exact distance."""
+    """The bracket of the pairs (a[i], b[i]), as distances (w arcsin of the
+    square root of the bounds on sin^2(d / w), the inverse of the bracket's
+    sin2), and their exact distance."""
     bracket = space.bracket
     lo, hi = bracket.sin2_bounds(bracket.bracket_rows(a), bracket.bracket_rows(b), space.group)
     w = bracket.w
@@ -552,8 +553,8 @@ class TestBracket:
         # the kind has no bracket, or the norm switches it off: the space's
         # bracket is the null one of the base class, with no scale
         bracket = space.bracket
-        assert np.isnan(bracket.w)
-        for name in ("bracket_rows", "sin2_bounds", "sin2_cut", "sin2_dist"):
+        assert bracket.w is None
+        for name in ("bracket_rows", "sin2_bounds", "sin2"):
             assert getattr(type(bracket), name) is getattr(SubgroupSpec, name), name
         assert type(bracket) is SubgroupSpec or space.norm.is_operator
         # zero-width rows bound nothing: at any epsilon no pair is near
@@ -563,11 +564,10 @@ class TestBracket:
         assert f.shape == (5, 0)
         lo, hi = bracket.sin2_bounds(f, f[:3], space.group)
         assert lo.shape == hi.shape == (5, 3)
-        for epsilon in (1e-6, 0.3, 1.0, np.pi / 2, 3.0, 10.0):
+        assert np.all(lo == -np.inf) and np.all(hi == np.inf)
+        d = np.array([1e-6, 0.3, 1.0, np.pi / 2, 3.0, 10.0])
+        # with no scale, sin2 leaves a distance as it is
+        assert bracket.sin2(d) is d and bracket.sin2(0.3) == 0.3
+        for epsilon in d:
             near, far = cuts(space, epsilon)
             assert not np.any(hi <= near) and not np.any(lo > far)
-        # every distance maps to the fill, and no bound back to a distance
-        d = np.array([-1.0, 0.0, 1e-9, 0.3, 1.0, np.pi / 2, 3.0, 10.0, np.inf])
-        for fill in (-np.inf, np.inf):
-            assert np.all(bracket.sin2_cut(d, fill) == fill)
-        assert np.all(np.isnan(bracket.sin2_dist(np.concatenate([lo, hi]))))

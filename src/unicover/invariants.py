@@ -20,7 +20,7 @@ from .groups import (
     haar_samples,
     tangent_sample,
 )
-from .metrics import _dists
+from .metrics import _check_restarts, _dists
 
 
 def kappa_known(space: HomSpace) -> Optional[float]:
@@ -150,6 +150,7 @@ def diameter_estimate(
     directions, with local refinement of the sweep parameter."""
     if samples < 2:
         raise InvalidArgumentError("samples must be >= 2")
+    _check_restarts(restarts)
     rng = np.random.default_rng(rng)
     g = space.group
     base = g.identity()

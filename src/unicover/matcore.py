@@ -86,10 +86,12 @@ class NormSpec:
         """Apply the symmetric gauge to a vector of nonnegative reals; a
         stack of vectors is reduced over its last axis, one value per row."""
         s = np.abs(np.asarray(s, dtype=float))
+        # the ndarray methods, not np.max and np.sum: the same reductions
+        # without the wrappers' dispatch, which shows in the coset search
         if self.is_operator:
-            out = np.max(s, axis=-1, initial=0.0)
+            out = s.max(axis=-1, initial=0.0)
         elif self.kind == "schatten":
-            out = np.sum(s ** self.p, axis=-1) ** (1.0 / self.p)
+            out = (s ** self.p).sum(axis=-1) ** (1.0 / self.p)
         else:
             # a custom gauge is a scalar callback, so it runs row by row
             out = np.apply_along_axis(self.gauge_fn, -1, s)

@@ -12,16 +12,18 @@ the public distances check their points and pass plain arrays to it.
 The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
 2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
 np.linalg.eigvals wrap the same routines, so the values are theirs bit for
-bit, without their per-call checks.
-
-scipy loads only on the first coset search (scipy.optimize, see minimize)
-or logm_unitary (scipy.linalg): a run on closed forms imports numpy alone.
+bit, without their per-call checks.  Its optimizer, minimize, is scipy's
+unbounded Powell ported to this module with the same bits, so
+scipy.optimize is never imported: scipy loads only with logm_unitary
+(scipy.linalg), which gives the search its second start, and a run on
+closed forms imports numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from math import isfinite, isnan, nan
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg._umath_linalg import eigh_lo, eigvals
@@ -142,14 +144,17 @@ def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng
     stacks a and b (shape (..., n, n), checked by the caller), as an array
     of their broadcast batch shape (pass a[:, None] and b[None] for all
     pairs): the subgroup's closed form where it has one, exact and batched,
-    otherwise one coset search per pair (an upper bound) with restarts and
-    rng."""
+    the group's own distance where the subgroup is {e} (as SO(n)'s blocks
+    of size 1 are), otherwise one coset search per pair (an upper bound)
+    with restarts and rng."""
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     if 0 in shape:
         return np.zeros(shape)
     d = space.subgroup.exact_dists(a, b, space.norm)
     if d is not None:
         return d
+    if not space.dim_H:  # no fibre to search
+        return _phase_dists(a, b, space.norm)
     n = space.n
     a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, n, n) for x in (a, b))
     return np.array([
@@ -167,13 +172,224 @@ def quotient_dist_upper(p: CosetPoint, q: CosetPoint, restarts: int = 8, rng=0) 
     """
     if p.space != q.space:
         raise InvalidArgumentError("cosets live in different spaces")
+    _check_restarts(restarts)
     return float(_dists(p.space, _mat(p.representative), _mat(q.representative), restarts, rng))
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call."""
-    from scipy import optimize
-    return optimize.minimize(*args, **kwargs)
+def _check_restarts(restarts) -> None:
+    """Raise unless restarts, the number of starts of a coset search, is an
+    integer >= 1 (a bool is not one)."""
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise InvalidArgumentError(f"restarts must be an integer >= 1, got {restarts!r}")
+
+
+class PowellResult(NamedTuple):
+    """What minimize returns: the last iterate, its value and the number of
+    evaluations of the objective."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+# the constants of scipy's bracket and Brent: the golden ratio, rounded as
+# scipy rounds it, and the golden-section fraction 2 - 1.618034
+_GOLD = 1.618034
+_CGOLD = 0.3819660
+
+
+def minimize(fun, x0, method: str, options: dict) -> PowellResult:
+    """Unbounded modified Powell, scipy.optimize.minimize(fun, x0,
+    method="Powell", options=options) ported step for step: the same
+    arithmetic in the same order, so x, fun and nfev are scipy's bits.
+
+    options holds exactly xtol, ftol and maxiter, the ones ported.  x0 is
+    taken as float64; fun returns a float and must not modify its argument,
+    which is the iterate itself, not a copy.  No part of scipy is imported.
+    """
+    if method.lower() != "powell" or set(options) != {"xtol", "ftol", "maxiter"}:
+        raise InvalidArgumentError(f"only Powell with xtol, ftol and maxiter is ported, "
+                                   f"not {method!r} with {sorted(options)}")
+    x = np.asarray(x0, dtype=float).flatten()
+    n = len(x)
+    maxiter, ftol, tol = options["maxiter"], options["ftol"], options["xtol"] * 100
+    nfev = 0
+
+    def func(y):
+        nonlocal nfev
+        nfev += 1
+        return fun(y)
+
+    direc = np.eye(n)
+    fval = func(x)
+    x1 = x  # no copy: iterates are new arrays, never modified in place
+    it = 0
+    while True:
+        fx = fval
+        bigind = 0
+        delta = 0.0
+        for i in range(n):
+            fx2 = fval
+            fval, x, _ = _linesearch(func, x, direc[i], fval, tol)
+            if fx2 - fval > delta:
+                delta = fx2 - fval
+                bigind = i
+        it += 1
+        if (2.0 * (fx - fval) <= ftol * (abs(fx) + abs(fval)) + 1e-20
+                or it >= maxiter or (isnan(fx) and isnan(fval))):
+            break
+        # extrapolate along the iteration's total step; take it as a new
+        # direction, in place of the one of largest decrease, when the
+        # extrapolated point is lower and Powell's test accepts it
+        direc1 = x - x1
+        x1 = x
+        fx2 = func(x + direc1)
+        if fx > fx2:
+            t = 2.0 * (fx + fx2 - 2.0 * fval)
+            temp = fx - fval - delta
+            t *= temp * temp
+            temp = fx - fx2
+            t -= delta * temp * temp
+            if t < 0.0:
+                fval, x, direc1 = _linesearch(func, x, direc1, fval, tol)
+                if direc1.any():
+                    direc[bigind] = direc[-1]
+                    direc[-1] = direc1
+    return PowellResult(x, fval, nfev)
+
+
+def _linesearch(func, p, xi, fval, tol):
+    """Brent's minimum of func along p + alpha xi: the new value, point and
+    step alpha xi (xi itself, untried, when it is zero)."""
+    if not xi.any():
+        return fval, p, xi
+
+    def along(alpha):
+        return func(p + alpha * xi)
+
+    alpha, fret = _brent(along, tol)
+    xi = alpha * xi
+    return fret, p + xi, xi
+
+
+def _bracket(f):
+    """scipy's bracket(f) from 0 and 1: three points and their values, and
+    whether they bracket a minimum (f(xb) at most both ends' and below one,
+    strictly ordered, finite)."""
+    xa, xb = 0.0, 1.0
+    fa, fb = f(xa), f(xb)
+    if fa < fb:
+        xa, xb, fa, fb = xb, xa, fb, fa
+    xc = xb + _GOLD * (xb - xa)
+    fc = f(xc)
+    it = 0
+    while fc < fb:
+        tmp1 = (xb - xa) * (fb - fc)
+        tmp2 = (xb - xc) * (fb - fa)
+        val = tmp2 - tmp1
+        denom = 2.0 * 1e-21 if abs(val) < 1e-21 else 2.0 * val
+        w = xb - ((xb - xc) * tmp2 - (xb - xa) * tmp1) / denom
+        wlim = xb + 110.0 * (xc - xb)
+        if it > 1000:
+            raise RuntimeError("no bracket within 1000 steps")
+        it += 1
+        if (w - xc) * (xb - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xa, xb, fa, fb = xb, w, fb, fw
+                break
+            if fw > fb:
+                xc, fc = w, fw
+                break
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        elif (w - wlim) * (wlim - xc) >= 0.0:
+            w = wlim
+            fw = f(w)
+        elif (w - wlim) * (xc - w) > 0.0:
+            fw = f(w)
+            if fw < fc:
+                xb, xc = xc, w
+                w = xc + _GOLD * (xc - xb)
+                fb, fc = fc, fw
+                fw = f(w)
+        else:
+            w = xc + _GOLD * (xc - xb)
+            fw = f(w)
+        xa, xb, xc = xb, xc, w
+        fa, fb, fc = fb, fc, fw
+    ok = (((fb < fc and fb <= fa) or (fb < fa and fb <= fc))
+          and (xa < xb < xc or xc < xb < xa)
+          and isfinite(xa) and isfinite(xb) and isfinite(xc))
+    return xa, xb, xc, fa, fb, fc, ok
+
+
+def _brent(f, tol):
+    """scipy's Brent minimization of f (500 steps at most) from _bracket:
+    the minimizer and its value.  Without a bracket, the best of its three
+    points (nan where any is nan)."""
+    xa, xb, xc, fa, fb, fc, ok = _bracket(f)
+    if not ok:
+        xs, fs = (xa, xb, xc), (fa, fb, fc)
+        if any(isnan(z) for z in xs + fs):
+            return nan, nan
+        i = min(range(3), key=fs.__getitem__)
+        return xs[i], fs[i]
+    x = w = v = xb
+    fw = fv = fx = fb
+    a, b = (xa, xc) if xa < xc else (xc, xa)
+    deltax = 0.0
+    rat = 0.0  # first set by the golden step, since deltax starts at 0
+    for _ in range(500):
+        tol1 = tol * abs(x) + 1.0e-11
+        tol2 = 2.0 * tol1
+        xmid = 0.5 * (a + b)
+        if abs(x - xmid) < (tol2 - 0.5 * (b - a)):
+            break
+        if abs(deltax) <= tol1:
+            deltax = a - x if x >= xmid else b - x  # golden section
+            rat = _CGOLD * deltax
+        else:
+            # parabola through x, w and v; p / tmp2 is its step from x
+            tmp1 = (x - w) * (fx - fv)
+            tmp2 = (x - v) * (fx - fw)
+            p = (x - v) * tmp2 - (x - w) * tmp1
+            tmp2 = 2.0 * (tmp2 - tmp1)
+            if tmp2 > 0.0:
+                p = -p
+            tmp2 = abs(tmp2)
+            dx_temp = deltax
+            deltax = rat
+            if p > tmp2 * (a - x) and p < tmp2 * (b - x) and abs(p) < abs(0.5 * tmp2 * dx_temp):
+                rat = p / tmp2
+                u = x + rat
+                if (u - a) < tol2 or (b - u) < tol2:
+                    rat = tol1 if xmid - x >= 0 else -tol1
+            else:
+                deltax = a - x if x >= xmid else b - x
+                rat = _CGOLD * deltax
+        if abs(rat) < tol1:  # move by at least tol1
+            u = x + tol1 if rat >= 0 else x - tol1
+        else:
+            u = x + rat
+        fu = f(u)
+        if fu > fx:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        else:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+    return x, fx
 
 
 def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts: int, rng) -> float:
@@ -188,14 +404,21 @@ def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts
     rng = np.random.default_rng(rng)
     uh = u.conj().T
 
+    seen = {}  # phases per point: about one evaluation in ten repeats one
+
     def phases_at(c):
-        # the gufuncs behind np.linalg.eigh and eigvals, without their
-        # per-call checks: u and v are checked group elements and c is
-        # Powell's finite iterate; a LAPACK failure sets the invalid flag,
-        # which the errstate below turns into an error
-        w_, v_ = eigh_lo((c @ hflat).reshape(n, n))
-        eh = (v_ * np.exp(1j * w_)) @ v_.conj().T
-        return np.abs(np.angle(eigvals(uh @ (v @ eh))))
+        key = c.tobytes()
+        ph = seen.get(key)
+        if ph is None:
+            # the gufuncs behind np.linalg.eigh and eigvals, without their
+            # per-call checks: u and v are checked group elements and c is
+            # Powell's finite iterate; a LAPACK failure sets the invalid
+            # flag, which the errstate below turns into an error
+            w_, v_ = eigh_lo((c @ hflat).reshape(n, n))
+            eh = (v_ * np.exp(1j * w_)) @ v_.conj().T
+            z = eigvals(uh @ (v @ eh))
+            ph = seen[key] = np.abs(np.arctan2(z.imag, z.real))  # np.angle's bits
+        return ph
 
     def f(c):
         return norm.of_singular_values(phases_at(c))
@@ -203,8 +426,7 @@ def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts
     def f_smooth(c):
         # strictly convex gauge surrogate of the operator norm; smooths the
         # max over phases so the local search does not stall at kinks
-        ph = phases_at(c)
-        return float(np.sum(ph**8) ** (1.0 / 8))
+        return float((phases_at(c) ** 8).sum() ** (1.0 / 8))
 
     def coords(h):
         return np.array([np.real(np.vdot(b, h)) for b in basis])

@@ -427,14 +427,15 @@ from unicover.metrics import CosetPoint, quotient_dist_upper
 space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
 u, v = haar_samples(space.group, np.random.default_rng(0), 2)
 quotient_dist_upper(CosetPoint(u, space), CosetPoint(v, space))
-assert "scipy.optimize" in sys.modules, scipy_modules()
+assert "scipy.optimize" not in sys.modules, scipy_modules()
 """
 
 
 def test_closed_form_runs_import_no_scipy(tmp_path):
     """A cover curve on closed forms and the verify suites load numpy
-    alone; the first coset search loads scipy.optimize.  Run in a fresh
-    interpreter, since this one has imported scipy already."""
+    alone; a coset search never loads scipy.optimize (its logm_unitary
+    start may load scipy.linalg).  Run in a fresh interpreter, since this
+    one has imported scipy already."""
     cover = _write(tmp_path, G31_PACKING.replace("packing_curve", "cover_curve"), "cover.ini")
     verify = _write(tmp_path, VERIFY_U2, "verify.ini")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -214,3 +214,14 @@ class TestDiameter:
     def test_invalid_samples(self):
         with pytest.raises(InvalidArgumentError):
             diameter_estimate(_grassmann("U", 3, 1), samples=1)
+
+    @pytest.mark.parametrize("restarts", [-1, 0, 2.5, True, None])
+    def test_invalid_restarts(self, restarts):
+        with pytest.raises(InvalidArgumentError):
+            diameter_estimate(_grassmann("U", 3, 1), samples=2, restarts=restarts)
+
+    def test_trivial_fibre_of_so3_blocks(self):
+        # SO(3)/block(1, 1, 1) is SO(3) itself: the sweeps reach pi
+        space = HomSpace(GroupSpec("SO", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+        est = diameter_estimate(space, samples=8, rng=0)
+        assert np.pi - 0.05 <= est <= np.pi + 1e-9

@@ -41,7 +41,7 @@ from unicover.metrics import (
     _polyline_length,
 )
 from unicover import metrics
-from unicover.entropy import dists_to_centers
+from unicover.entropy import dists_to_centers, greedy_packing
 
 from conftest import cuts, random_skew
 
@@ -292,6 +292,29 @@ class TestQuotientDist:
         d = quotient_dist_upper(_coset(space, u), _coset(space, v), rng=rng)
         assert d <= 1e-5
 
+    @pytest.mark.parametrize("restarts", [-1, 0, 2.5, True, None])
+    def test_invalid_restarts(self, restarts):
+        p, q = _coset(GRASS, np.eye(4)), _coset(GRASS, np.eye(4))
+        with pytest.raises(InvalidArgumentError):
+            quotient_dist_upper(p, q, restarts=restarts)
+
+    def test_restarts_accepts_numpy_integers(self):
+        p, q = _coset(GRASS, np.eye(4)), _coset(GRASS, np.eye(4))
+        assert quotient_dist_upper(p, q, restarts=np.int64(1)) == 0.0
+
+    def test_trivial_fibre_is_the_group(self):
+        """SO(n)'s blocks of size 1 leave H = {I}: no fibre to search, so
+        the distance is the group's own."""
+        space = HomSpace(GroupSpec("SO", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+        assert space.dim_H == 0
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u, v = haar_samples(space.group, rng, 2)
+            d = quotient_dist_upper(_coset(space, u), _coset(space, v))
+            assert d == pytest.approx(intrinsic_dist(u, v), abs=1e-12)
+        bare = HomSpace(GroupSpec("SO", 3))
+        assert greedy_packing(space, 0.9, 20, rng=0).count == greedy_packing(bare, 0.9, 20, rng=0).count
+
 
 def _space_id(space):
     sub = space.subgroup
@@ -434,6 +457,95 @@ class TestLeanObjective:
         u, v = haar_samples(space.group, np.random.default_rng(22), 2)
         with pytest.raises(FloatingPointError):
             quotient_dist_upper(_coset(space, u), _coset(space, v))
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+def _quadratic(x):
+    d = x - np.arange(len(x))
+    return float(d @ np.diag(np.arange(1.0, len(x) + 1)) @ d + 0.5)
+
+
+# rows +-a_i for four a_i spanning R^3: the max of the affine functions is
+# bounded below, with kinks
+_AFFINE = np.random.default_rng(3).normal(size=(4, 3))
+_AFFINE = np.vstack([_AFFINE, -_AFFINE])
+_OFFSETS = np.random.default_rng(4).normal(size=8)
+
+
+def _max_affine(x):
+    return float(np.max(_AFFINE @ x + _OFFSETS))
+
+
+POWELL_CASES = {
+    "quadratic": (_quadratic, [3.0, -1.0, 2.0], {}),
+    "rosenbrock2": (_rosenbrock, [-1.2, 1.0], {}),
+    "rosenbrock4": (_rosenbrock, [-1.2, 1.0, -0.5, 0.3], {}),
+    "max_affine": (_max_affine, [0.3, -0.2, 0.1], {}),
+    # every bracket fails, so each line search keeps the best of three points
+    "constant": (lambda x: 2.5, [0.5, 1.5], {}),
+    "maxiter1": (_rosenbrock, [-1.2, 1.0, 0.4], {"maxiter": 1}),
+}
+
+
+class TestPowellPort:
+    """metrics.minimize is scipy's unbounded Powell ported step for step:
+    the same iterate, value and evaluation count, bit for bit."""
+
+    @pytest.mark.parametrize("ftol", [1e-9, 1e-10])
+    @pytest.mark.parametrize("case", list(POWELL_CASES))
+    def test_bit_identical_to_scipy(self, case, ftol):
+        fn, x0, extra = POWELL_CASES[case]
+        options = {"maxiter": 200, "xtol": 1e-7, "ftol": ftol, **extra}
+        want = minimize(fn, np.array(x0), method="Powell", options=options)
+        got = metrics.minimize(fn, np.array(x0), method="Powell", options=options)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.fun == want.fun
+        assert got.nfev == want.nfev
+
+    def test_rejects_what_is_not_ported(self):
+        options = {"maxiter": 200, "xtol": 1e-7, "ftol": 1e-9}
+        for method, opts in [("Nelder-Mead", options), ("Powell", {**options, "maxfev": 10}),
+                             ("Powell", {"maxiter": 200})]:
+            with pytest.raises(InvalidArgumentError):
+                metrics.minimize(_rosenbrock, np.zeros(2), method=method, options=opts)
+
+
+def _recorded_quotient_mix():
+    """perfbench/reference.json's quotient_mix distances for input seed 0,
+    per round {space id: distance}, rounded to 12 decimals."""
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    return json.loads(path.read_text())["quotient_mix"]["0"]
+
+
+class TestRecordedDistances:
+    """The coset search reproduces the benchmark's recorded quotient_mix
+    distances (input seed 0, rounds 0-5), so that a change of the optimizer's
+    bits shows here and not only in the benchmark's gate.  The pairs are
+    drawn as the workload draws them: one Haar pair per space per round, in
+    this order, from default_rng(0)."""
+
+    SPACES = {
+        "u3_special": HomSpace(GroupSpec("U", 3), SubgroupSpec.special()),
+        "u4_grassmann2": HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2)),
+        "u4_tensor2x2": HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)),
+        "u3_block111": HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])),
+        "so5_block221": HomSpace(GroupSpec("SO", 5), SubgroupSpec.block_diagonal([2, 2, 1])),
+    }
+
+    def test_first_rounds_of_seed_0(self):
+        recorded = _recorded_quotient_mix()
+        rng = np.random.default_rng(0)
+        for j in range(6):
+            for sid, space in self.SPACES.items():
+                u, v = haar_sample(space.group, rng), haar_sample(space.group, rng)
+                d = quotient_dist_upper(CosetPoint(u, space), CosetPoint(v, space))
+                assert d == pytest.approx(recorded[j][sid], abs=1e-12), (j, sid)
 
 
 TRIVIAL = SubgroupSpec.trivial()

@@ -12,7 +12,9 @@ packing count).
 Each Haar cloud is drawn in one haar_samples call, in the stream order of
 one-at-a-time draws.  greedy_curve draws, checks and featurizes one cloud
 for a whole epsilon grid; each epsilon's net there is a prefix of one
-farthest-point order, which does not depend on epsilon.  The loops first
+farthest-point order, which does not depend on epsilon; on a closed form,
+each packing there accepts that net unchecked and skips the rows its
+bounds place within epsilon of it (see greedy_curve).  The loops first
 bound every pair by the space's bracket (HomSpace.bracket: in the operator
 norm, on the bare group and on Grassmannians, exact to rounding on those
 with min(k, n - k) <= 2) and settle the pairs that clear epsilon, or the
@@ -153,24 +155,27 @@ def greedy_packing(
     return NetResult("packing_tilde", epsilon, points[kept], len(kept), True)
 
 
-def _pack(space, points, feats, seeds, cands, epsilon: float) -> np.ndarray:
+def _pack(space, points, feats, seeds, cands, epsilon: float, accepted=()) -> np.ndarray:
     """The rows of points (feats: their bracket_rows) that the greedy
-    packing accepts from the rows seeds, then the rows cands.  Rows are
-    taken BLOCK at a time (seeds and cands in separate blocks) and bounded
-    by one bracket call against the points accepted before the block and
-    the block itself.  A block is checked against the earlier
+    packing accepts from the rows seeds, then the rows cands, after the
+    rows accepted, kept unchecked (pairwise farther apart than epsilon).
+    Rows are taken BLOCK at a time (seeds and cands in separate blocks) and
+    bounded by one bracket call against the points accepted before the
+    block and the block itself.  A block is checked against the earlier
     points (the bracket, then one exact call for the undecided pairs); the
     survivors are then checked in order against the points the block
     itself accepted, so the accepted set is the one-at-a-time loop's."""
     # every row may be accepted, so these never need to grow; past count,
     # cfeats holds the current block's rows
-    total = len(seeds) + len(cands)
+    accepted = np.asarray(accepted, int)
+    count = len(accepted)
+    total = count + len(seeds) + len(cands)
     centers = np.empty((total,) + points.shape[1:], points.dtype)
     cfeats = np.empty((total, feats.shape[1]))
     kept = np.empty(total, int)
+    centers[:count], cfeats[:count], kept[:count] = points[accepted], feats[accepted], accepted
     bracket = space.bracket
     cuts = bracket.sin2(epsilon) - MARGIN, bracket.sin2(epsilon) + MARGIN
-    count = 0
     for rows in chain(_blocks(seeds), _blocks(cands)):
         block, fb, base = points[rows], feats[rows], count
         cfeats[base:base + len(rows)] = fb
@@ -224,16 +229,20 @@ def greedy_net(
         raise InvalidArgumentError("sampler_budget and probe_budget must be positive")
     probes = haar_samples(space.group, np.random.default_rng(rng), probe_budget)
     feats = space.bracket.bracket_rows(probes)
-    return _net(space, probes, *_farthest_points(space, probes, feats, sampler_budget, epsilon), epsilon)
+    chosen, radii, _ = _farthest_points(space, probes, feats, sampler_budget, [epsilon])
+    return _net(space, probes, chosen, radii, epsilon)
 
 
-def _farthest_points(space, probes, feats, budget: int, epsilon: float):
+def _farthest_points(space, probes, feats, budget: int, epsilons):
     """The chosen rows of farthest-point insertion over the probes (feats:
     their bracket_rows) from probe 0, and per insertion its radius, the
     probes' largest distance to a chosen row, as (probe, center, lower,
     upper, dist): the pair that attains it, bounds in s on its distance
     and the distance, nan if not measured.  It stops at a radius of
-    epsilon * (1 + NET_SLACK) or budget rows.
+    min(epsilons) * (1 + NET_SLACK) or budget rows.  Third, per epsilon,
+    the probes' upper bounds at the first radius with lower bound at most
+    sin2(epsilon * (1 + NET_SLACK)) + MARGIN, or the last: _net stops no
+    sooner, so each probe's nearest row then is in the net at epsilon.
 
     Each probe keeps the same four for its nearest chosen row.  A new row's
     bracket takes a probe (hi below its lower bound) or leaves it (lo above
@@ -261,8 +270,10 @@ def _farthest_points(space, probes, feats, budget: int, epsilon: float):
             settle(rows, _dists(space, probes[owner[rows]], probes[rows]))
 
     chosen, radii = [0], []
-    slack = epsilon * (1.0 + NET_SLACK)
+    slack = min(epsilons) * (1.0 + NET_SLACK)
     cut = bracket.sin2(slack)
+    tops = [bracket.sin2(e * (1.0 + NET_SLACK)) + MARGIN for e in epsilons]
+    uppers = [None] * len(tops)
     while True:
         c = chosen[-1]
         lo, hi = (b[0] for b in bracket.sin2_bounds(feats[c:c + 1], feats, space.group))
@@ -294,8 +305,11 @@ def _farthest_points(space, probes, feats, budget: int, epsilon: float):
             measure(np.array([worst]))  # the bounds do not settle the stop test
         r = float(dist[worst])
         radii.append((worst, int(owner[worst]), float(lower[worst]), float(upper[worst]), r))
+        for e, top in enumerate(tops):
+            if uppers[e] is None and lower[worst] <= top:
+                uppers[e] = upper.copy()
         if done or (upper[worst] <= cut if np.isnan(r) else r <= slack):
-            return chosen, radii
+            return chosen, radii, [upper if u is None else u for u in uppers]
         chosen.append(worst)
 
 
@@ -330,7 +344,14 @@ def greedy_curve(
     the results equal those calls', from one Haar cloud of max(budget,
     probe_budget) points (the first probe_budget are the probes, the first
     budget the candidates) checked and featurized once, and one
-    farthest-point run to the smallest epsilon."""
+    farthest-point run to the smallest epsilon.  Each center was inserted
+    as the farthest probe at a radius where the net did not stop, hence
+    farther than epsilon * (1 + NET_SLACK) from the centers before it, so
+    the packing accepts the net unchecked; it drops the later rows (seeds
+    and candidates) whose upper bound from that run is at most
+    sin2(epsilon) - MARGIN, as their nearest center is in the net.  Both
+    rules take d(a, b) for d(b, a), which only a closed form gives to
+    rounding."""
     grid = [float(e) for e in epsilon_grid]
     if not grid or not all(0 < e < np.inf for e in grid):
         raise InvalidArgumentError("epsilon_grid must be nonempty, positive and finite")
@@ -339,14 +360,20 @@ def greedy_curve(
     cloud = haar_samples(space.group, np.random.default_rng(rng),
                          max(budget, probe_budget or 0))
     feats = space.bracket.bracket_rows(cloud)
+    rows, uppers, exact = np.arange(budget), [None] * len(grid), False
     if probe_budget is not None:
         probes = cloud[:probe_budget]
-        order = _farthest_points(space, probes, feats[:probe_budget], budget, min(grid))
-    curve, kept = [], np.empty(0, int)
-    for eps in grid:
-        net = None if probe_budget is None else _net(space, probes, *order, eps)
-        seeds = kept if net is None else np.concatenate([order[0][:net.count], kept])
-        kept = _pack(space, cloud, feats, seeds, np.arange(budget), eps)
+        chosen, radii, uppers = _farthest_points(space, probes, feats[:probe_budget], budget, grid)
+        exact = not space.dim_H or space.subgroup.exact_dists(cloud[:1], cloud[:1], space.norm) is not None
+    curve, kept = [], rows[:0]
+    for eps, upper in zip(grid, uppers):
+        net = None if probe_budget is None else _net(space, probes, chosen, radii, eps)
+        prefix = rows[:0] if net is None else np.array(chosen[:net.count])
+        if exact:
+            near = np.pad(upper <= space.bracket.sin2(eps) - MARGIN, (0, len(cloud) - len(upper)))
+            kept = _pack(space, cloud, feats, kept[~near[kept]], rows[~near[:budget]], eps, accepted=prefix)
+        else:
+            kept = _pack(space, cloud, feats, np.concatenate([prefix, kept]), rows, eps)
         curve.append((NetResult("packing_tilde", eps, cloud[kept], len(kept), True), net))
     return curve
 

@@ -22,6 +22,7 @@ closed forms imports numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite, isnan, nan
 from typing import NamedTuple, Sequence
 
@@ -392,15 +393,22 @@ def _brent(f, tol):
     return x, fx
 
 
+@lru_cache(maxsize=None)
+def _fibre_basis(space: HomSpace):
+    """component_basis(space, "H") and hflat, built once per space."""
+    basis = tuple(component_basis(space, "H"))
+    # -i h is Hermitian for each skew basis element h, so c @ hflat is the
+    # Hermitian matrix whose eigenphases exponentiate sum_j c_j h_j
+    hflat = (-1j * np.stack(basis).astype(complex)).reshape(len(basis), space.n ** 2)
+    return basis, hflat
+
+
 def _optimize_coset_dist(space: HomSpace, u: np.ndarray, v: np.ndarray, restarts: int, rng) -> float:
     """Powell over the subalgebra from the best few of several starts."""
     norm = space.norm
-    basis = component_basis(space, "H")
+    basis, hflat = _fibre_basis(space)
     dim = len(basis)
     n = space.n
-    # -i h is Hermitian for each skew basis element h, so c @ hflat is the
-    # Hermitian matrix whose eigenphases exponentiate sum_j c_j h_j
-    hflat = (-1j * np.stack(basis).astype(complex)).reshape(dim, n * n)
     rng = np.random.default_rng(rng)
     uh = u.conj().T
 

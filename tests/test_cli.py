@@ -303,7 +303,20 @@ def test_one_bracket_call_per_block_and_no_empty_exact_call(tmp_path, monkeypatc
     """On the benchmark cover config the kind's sin2_bounds runs once per
     packing block (the block against the earlier points and itself) and
     once per farthest-point insertion, and no exact call is made on zero
-    pairs."""
+    pairs.  Each packing takes its net unchecked, and its seed and
+    candidate blocks hold only the rows (of the previous packing, then of
+    the cloud) that the probes' upper bounds do not place within epsilon of
+    the net."""
+    grid = (1.2, 0.9, 0.6)
+    space = HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2))
+    cloud = entropy.haar_samples(space.group, np.random.default_rng(0), 700)
+    *_, uppers = entropy._farthest_points(space, cloud, space.bracket.bracket_rows(cloud), 700, grid)
+    packs = [np.flatnonzero((cloud[:, None] == pack.points).all(axis=(2, 3)).any(axis=1))
+             for pack, _ in entropy.greedy_curve(space, grid, 700, 700, rng=0)]
+    left = []  # per epsilon, the seeds and the candidates that reach a block
+    for eps, upper, prev in zip(grid, uppers, [np.arange(0)] + packs[:-1]):
+        far = upper > space.bracket.sin2(eps) - entropy.MARGIN
+        left += [np.count_nonzero(far[prev]), np.count_nonzero(far)]
     grassmann = type(SubgroupSpec.grassmann(2))
     bounds, pairs = [], []
     real_bounds, real_dists = grassmann.sin2_bounds, entropy._dists
@@ -316,11 +329,12 @@ def test_one_bracket_call_per_block_and_no_empty_exact_call(tmp_path, monkeypatc
     counts = {}
     for row in csv.DictReader((tmp_path / "cover_curve.csv").read_text().splitlines()):
         counts.setdefault(row["quantity_kind"], []).append(int(row["count"]))
-    nets, packs = counts["Npp_certified"], counts["Ntilde"]
-    blocks = sum(-(-(net + prev) // entropy.BLOCK) + -(-700 // entropy.BLOCK)
-                 for net, prev in zip(nets, [0] + packs[:-1]))
+    assert counts["Ntilde"] == [len(rows) for rows in packs]
+    blocks = sum(-(-n // entropy.BLOCK) for n in left)
     # the net at the smallest epsilon is the whole farthest-point run
-    assert len(bounds) == blocks + nets[-1]
+    assert len(bounds) == blocks + counts["Npp_certified"][-1]
+    # the nets' upper bounds leave a few dozen of the 700 candidates at most
+    assert sum(left[1::2]) < 100
     assert pairs and min(np.prod(shape) for shape in pairs) > 0
 
 

@@ -267,7 +267,7 @@ class TestBlockedLoops:
         cuts = sorted({e for r in full[1] if r > 1e-3 for e in straddle(r)})
         for epsilon in [1e-3, *cuts]:
             want, want_radii = farthest_point_loop(space, points, len(points), epsilon)
-            chosen, radii = entropy._farthest_points(space, points, feats, len(points), epsilon)
+            chosen, radii, _ = entropy._farthest_points(space, points, feats, len(points), [epsilon])
             assert chosen == want
             for (p, c, lo, hi, dist), r in zip(radii, want_radii, strict=True):
                 d = dists_to_centers(space, points[c], points[p:p + 1])[0]
@@ -492,23 +492,45 @@ class TestGreedyCurve:
         (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), (0.6, 0.3, 0.1), 100, 40),
         (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), (0.6, 0.3, 0.1), 60, None),
         (G31_REAL, (1.0, 0.6, 0.4), 70, None),
+        # the benchmark's shape: every candidate is a probe
+        (G42, (1.2, 0.9, 0.6), 200, 200),
+        # past k = n / 2 the frame is the last n - k columns
+        (G53, (1.2, 0.9, 0.6), 100, 100),
+        # the loose [s/3, s] bracket of m = 3
+        (HomSpace(GroupSpec("U", 6), SubgroupSpec.grassmann(3)), (1.2, 1.0, 0.8), 60, 60),
+        # no bracket: each upper bound is a measured distance
+        (HomSpace(GroupSpec("U", 3), norm=FROBENIUS), (2.5, 2.0, 1.5), 80, 80),
+        # the budget runs out at 0.9 already, where the last bounds are used
+        (G42, (1.2, 0.9, 0.6), 10, 200),
     ], ids=["U4-grassmann2-probes-above", "U4-grassmann2-probes-below", "SO3-equal",
-            "U3-probes-above", "U3-special-probes-below", "U3-special-packing", "SO3-grassmann1-packing"])
+            "U3-probes-above", "U3-special-probes-below", "U3-special-packing", "SO3-grassmann1-packing",
+            "U4-grassmann2-equal", "U5-grassmann3-equal", "U6-grassmann3-equal", "U3-frobenius-equal",
+            "U4-grassmann2-exhausted-above-smallest"])
     def test_matches_per_epsilon_calls(self, space, grid, budget, probe_budget):
         for seed in (0, 1):
-            want = self.per_epsilon(space, grid, budget, probe_budget, seed)
-            got = greedy_curve(space, grid, budget, probe_budget, rng=seed)
-            assert len(got) == len(grid)
-            for (pack, net), (pack0, net0) in zip(got, want):
-                assert pack.count == pack0.count == len(pack.points)
-                assert np.array_equal(pack.points, pack0.points)
-                assert (net is None) == (net0 is None)
-                if net is not None:
-                    assert net.count == net0.count
-                    assert np.array_equal(net.points, net0.points)
-                    assert net.probe_max_dist == net0.probe_max_dist
-                    assert net.budget_exhausted == net0.budget_exhausted
-                    assert net.probe_count == net0.probe_count == probe_budget
+            self.assert_matches(space, grid, budget, probe_budget, seed)
+
+    def test_matches_per_epsilon_calls_on_a_coset_search(self):
+        # a searched distance need not be symmetric, so there the packings
+        # check their nets and every candidate; one packing accepts a
+        # candidate beyond its net
+        space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+        self.assert_matches(space, (1.2, 0.8), 4, 3, 0)
+
+    def assert_matches(self, space, grid, budget, probe_budget, seed):
+        want = self.per_epsilon(space, grid, budget, probe_budget, seed)
+        got = greedy_curve(space, grid, budget, probe_budget, rng=seed)
+        assert len(got) == len(grid)
+        for (pack, net), (pack0, net0) in zip(got, want):
+            assert pack.count == pack0.count == len(pack.points)
+            assert np.array_equal(pack.points, pack0.points)
+            assert (net is None) == (net0 is None)
+            if net is not None:
+                assert net.count == net0.count
+                assert np.array_equal(net.points, net0.points)
+                assert net.probe_max_dist == net0.probe_max_dist
+                assert net.budget_exhausted == net0.budget_exhausted
+                assert net.probe_count == net0.probe_count == probe_budget
 
     def test_net_exhausted_only_at_the_smallest_epsilon(self):
         # the prefix rule across the stop: the budget runs out at 0.6 only,
@@ -519,6 +541,20 @@ class TestGreedyCurve:
         assert [net.count for net in nets] == [6, 18, 40]
         for small, large in zip(nets, nets[1:]):
             assert np.array_equal(large.points[:small.count], small.points)
+
+    @pytest.mark.parametrize("space, grid, budget, probe_budget", [
+        # the budget runs out at 0.6 (see the test above)
+        (G42, (1.2, 0.9, 0.6), 40, 300),
+        (HomSpace(GroupSpec("SO", 3)), (1.2, 0.8, 0.5), 80, 80),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), (0.6, 0.3, 0.1), 100, 40),
+    ], ids=["U4-grassmann2", "SO3", "U3-special"])
+    def test_nets_are_separated_beyond_the_slack(self, space, grid, budget, probe_budget):
+        # each center was inserted at a radius above epsilon * (1 +
+        # NET_SLACK), which is what lets each packing take its net unchecked
+        nets = [net for _, net in greedy_curve(space, grid, budget, probe_budget, rng=1)]
+        nets += [greedy_net(space, eps, budget, probe_budget, rng=1) for eps in grid]
+        for net in nets:
+            verify_separated(space, net.points, net.epsilon * (1 + entropy.NET_SLACK))
 
 
 class TestChain:

@@ -52,9 +52,7 @@ from .entropy import (
     greedy_curve,
     greedy_net,
     greedy_packing,
-    linearized_cover,
     theorem8_bounds,
-    theorem11_gate,
 )
 from .verify import (
     CheckReport,

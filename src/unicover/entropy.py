@@ -1,6 +1,5 @@
 """Packing and covering constructions on groups and homogeneous spaces,
-the exp-linearized covering scheme, and evaluation of the two-sided entropy
-bounds.
+and evaluation of the two-sided entropy bounds.
 
 A packing is epsilon-separated by construction: the acceptance loop's
 decisions are the certificate, each accepted pair cleared by its bracket or
@@ -35,15 +34,15 @@ one), and raises InvalidArgumentError; the loops take plain arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product as iter_product
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .matcore import InvalidArgumentError, expm_skew, opnorm
-from .groups import HomSpace, _elements, component_basis, haar_samples
-from .metrics import _dists
-from .invariants import _theta_intrinsic, diameter_known, kappa_known, theta_known
+from .matcore import InvalidArgumentError
+from .groups import HomSpace, _elements, haar_samples
+from .metrics import _closed_form, _dists
+from .invariants import _theta_intrinsic, diameter_known
 
 # Candidates and probes are drawn, and their distances batched, this many at
 # a time: enough to amortize the per-call overhead, few enough that a
@@ -60,10 +59,6 @@ MARGIN = 1e-9
 
 # greedy_net covers every probe within epsilon * (1 + NET_SLACK).
 NET_SLACK = 0.01
-
-# linearized_cover walks every point of its lattice cube, (2 half + 1)^dim
-# of them, one at a time; past this many it refuses instead.
-LATTICE_LIMIT = 10**6
 
 
 @dataclass
@@ -350,8 +345,8 @@ def greedy_curve(
     the packing accepts the net unchecked; it drops the later rows (seeds
     and candidates) whose upper bound from that run is at most
     sin2(epsilon) - MARGIN, as their nearest center is in the net.  Both
-    rules take d(a, b) for d(b, a), which only a closed form gives to
-    rounding."""
+    rules take d(a, b) for d(b, a), which only a closed form (see
+    metrics._closed_form) gives to rounding."""
     grid = [float(e) for e in epsilon_grid]
     if not grid or not all(0 < e < np.inf for e in grid):
         raise InvalidArgumentError("epsilon_grid must be nonempty, positive and finite")
@@ -364,7 +359,7 @@ def greedy_curve(
     if probe_budget is not None:
         probes = cloud[:probe_budget]
         chosen, radii, uppers = _farthest_points(space, probes, feats[:probe_budget], budget, grid)
-        exact = not space.dim_H or space.subgroup.exact_dists(cloud[:1], cloud[:1], space.norm) is not None
+        exact = _closed_form(space)
     curve, kept = [], rows[:0]
     for eps, upper in zip(grid, uppers):
         net = None if probe_budget is None else _net(space, probes, chosen, radii, eps)
@@ -376,59 +371,6 @@ def greedy_curve(
             kept = _pack(space, cloud, feats, np.concatenate([prefix, kept]), rows, eps)
         curve.append((NetResult("packing_tilde", eps, cloud[kept], len(kept), True), net))
     return curve
-
-
-def linearized_cover(
-    space: HomSpace,
-    epsilon: float,
-    override_kappa_gate: bool = False,
-) -> NetResult:
-    """Covering centers for M built by a lattice in the complement of the
-    subalgebra, pushed through exp and the quotient map (a contraction).
-
-    Requires a space with known complement-projection norm equal to one
-    (the surjectivity of the scheme depends on it) unless overridden, a
-    known diameter, and the operator norm: the lattice ball, its reach and
-    its mesh are all measured in it.
-    """
-    if not 0 < epsilon < np.inf:
-        raise InvalidArgumentError("epsilon must be positive and finite")
-    if not space.norm.is_operator:
-        raise InvalidArgumentError("linearized cover needs the operator norm")
-    if kappa_known(space) != 1.0 and not override_kappa_gate:
-        raise InvalidArgumentError(
-            "linearized cover needs kappa = 1 (or an explicit override)"
-        )
-    # a sampled diameter is a lower bound, the wrong side for the reach of
-    # a covering ball
-    R = diameter_known(space)
-    if R is None:
-        raise InvalidArgumentError("linearized cover needs a known diameter")
-    if epsilon >= R:
-        return NetResult("net_Npp", epsilon, space.group.identity()[np.newaxis], 1, False)
-    basis = component_basis(space, "X")
-    dim = len(basis)
-    mesh = epsilon / np.sqrt(dim)
-    stack = np.stack(basis)
-    # the coefficient vector has Euclidean norm equal to the Frobenius norm
-    # of the matrix, which bounds sqrt(n) times the operator norm
-    reach = np.sqrt(space.n) * R
-    half = int(np.ceil(reach / mesh))
-    cube = (2 * half + 1) ** dim
-    if cube > LATTICE_LIMIT:
-        raise InvalidArgumentError(f"lattice cube of {cube} points exceeds {LATTICE_LIMIT}")
-    centers = []
-    for idx in iter_product(range(-half, half + 1), repeat=dim):
-        c = mesh * np.array(idx, dtype=float)
-        if np.linalg.norm(c) > reach + mesh:
-            continue
-        x = np.tensordot(c, stack, axes=(0, 0))
-        # keep lattice points inside the ball itself; boundary points round
-        # inward, and the quotient's fold keeps the edge of the ball covered
-        if opnorm(x) > R:
-            continue
-        centers.append(expm_skew(x))
-    return NetResult("net_Npp", epsilon, np.array(centers), len(centers), False)
 
 
 def certify_cover(
@@ -500,53 +442,6 @@ def theorem8_bounds(
         lower_applicable=lower_ok,
         upper_applicable=upper_ok,
     )
-
-
-def theorem11_gate(space: HomSpace, alpha: float) -> dict:
-    """Structural applicability check for the dimension-gap / reducing
-    subspace / full-unitary-factor covering bound.
-
-    Returns the satisfied branch ("a", "b", "c" or "none") together with a
-    witness description and the invariant gate value.
-    """
-    if not (0 < alpha <= 0.5):
-        raise InvalidArgumentError("alpha must be in (0, 1/2]")
-    n = space.n
-    sub = space.subgroup
-    # the subalgebra projection is a norm-one conditional expectation for
-    # every supported subgroup, so the complement projection has norm <= 2
-    kappa = kappa_known(space)
-    known = (1.0 / (2.0 if kappa is None else kappa), theta_known(space),
-             diameter_known(space))
-    gate = min(v for v in known if v is not None)
-    satisfied_gate = gate >= alpha
-
-    # report the branch the subgroup structure canonically certifies:
-    # tensor factors always provide a reducing subspace (b); block subgroups
-    # with a large block carry a full unitary factor (c); otherwise the
-    # dimension gap (a), then (b) as fallback
-    branch = "none"
-    witness = None
-    dim_H = space.dim_H
-    gap = dim_H <= (1 - alpha) * space.group.dim
-    e_dim = next((s for s in sub.reducing_dims(n)
-                  if alpha * n <= s <= (1 - alpha) * n), None)
-    big = sub.full_block(n)
-    if sub.reducing_first and e_dim is not None:
-        branch, witness = "b", f"reducing subspace of dim {e_dim}"
-    elif big >= alpha * n:
-        branch, witness = "c", f"full unitary factor on a block of dim {big}"
-    elif gap:
-        branch, witness = "a", f"dim H = {dim_H} <= (1-alpha) dim G"
-    elif e_dim is not None:
-        branch, witness = "b", f"reducing subspace of dim {e_dim}"
-    return {
-        "satisfied": satisfied_gate and branch != "none",
-        "branch": branch,
-        "witness": witness,
-        "gate_value": gate,
-        "alpha": alpha,
-    }
 
 
 def chain_consistent(

@@ -73,7 +73,6 @@ class SubgroupSpec:
     theta = None  # weaving threshold, where known, in theta_units:
     theta_units = None  # "intrinsic" or "extrinsic"
     traceless = False  # theta witnesses need a trace-zero logarithm
-    reducing_first = False  # theorem 11 names a reducing subspace first
     w = None  # scale of the bracket, whose sin2_bounds bound sin^2(d / w)
 
     @staticmethod
@@ -137,14 +136,6 @@ class SubgroupSpec:
     def witness_phases(self, group: GroupSpec, rng, search_budget: int):
         """Diagonal phases of subgroup elements to test as theta witnesses."""
         return ()
-
-    def reducing_dims(self, n: int) -> Sequence[int]:
-        """Ascending dimensions of the reducing subspaces it provides."""
-        return ()
-
-    def full_block(self, n: int) -> int:
-        """Size of the largest block carrying a full unitary factor."""
-        return 0
 
 
 # Rounding bound delta on each product of feature rows that sin2_bounds
@@ -262,16 +253,6 @@ class _Blocks(SubgroupSpec):
             out[..., offset : offset + b, offset : offset + b] = x[..., offset : offset + b, offset : offset + b]
             offset += b
         return out
-
-    def full_block(self, n):
-        return max(self.blocks(n))
-
-    def reducing_dims(self, n):
-        # subset sums of blocks are exactly the reducing-subspace dims
-        sums = {0}
-        for b in self.blocks(n):
-            sums |= {s + b for s in sums}
-        return sorted(sums)
 
     def witness_phases(self, group, rng, search_budget):
         n = group.n
@@ -409,7 +390,6 @@ class TensorFactor(_Blocks):
     kind = "tensor_factor"
     theta = 2.0
     theta_units = "extrinsic"
-    reducing_first = True
     m: int
     k: int
 
@@ -423,9 +403,6 @@ class TensorFactor(_Blocks):
 
     def dim_in(self, group: GroupSpec) -> int:
         return GroupSpec(group.kind, self.k).dim
-
-    def full_block(self, n):
-        return 0  # each block holds a copy of one factor, not a full group
 
     def blocks(self, n: int) -> Tuple[int, ...]:
         return (self.k,) * self.m

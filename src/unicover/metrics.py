@@ -6,8 +6,9 @@ group, to the gauge of the eigenphase vector of u*v (principal branch).  On a
 quotient the distance is exact, in every such norm, where a closed form
 exists (trivial subgroup, Grassmann, the determinant circle of U(n)/SU(n));
 elsewhere only an upper bound is certified, by local search over the fibre.
-_dists is the one place that chooses between the two, for every caller:
-the public distances check their points and pass plain arrays to it.
+_closed_form is the one place that chooses between the two, and _dists,
+which every caller uses, follows it: the public distances check their
+points and pass plain arrays to it.
 
 The local search calls the LAPACK gufuncs eigh_lo and eigvals of numpy
 2.x's private numpy.linalg._umath_linalg directly: np.linalg.eigh and
@@ -43,6 +44,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     HomSpace,
+    SubgroupSpec,
     _elements,
     _mat,
     component_basis,
@@ -151,16 +153,21 @@ def _dists(space: HomSpace, a: np.ndarray, b: np.ndarray, restarts: int = 8, rng
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     if 0 in shape:
         return np.zeros(shape)
-    d = space.subgroup.exact_dists(a, b, space.norm)
-    if d is not None:
-        return d
-    if not space.dim_H:  # no fibre to search
-        return _phase_dists(a, b, space.norm)
+    if _closed_form(space):
+        d = space.subgroup.exact_dists(a, b, space.norm)
+        return _phase_dists(a, b, space.norm) if d is None else d
     n = space.n
     a, b = (np.broadcast_to(x, shape + x.shape[-2:]).reshape(-1, n, n) for x in (a, b))
     return np.array([
         _optimize_coset_dist(space, x, y, restarts, rng) for x, y in zip(a, b)
     ]).reshape(shape)
+
+
+def _closed_form(space: HomSpace) -> bool:
+    """Whether _dists measures space by a closed form, exact and batched:
+    the subgroup's exact_dists where its kind defines one, else the group's
+    own distance where the fibre is trivial; if not, by the coset search."""
+    return type(space.subgroup).exact_dists is not SubgroupSpec.exact_dists or not space.dim_H
 
 
 def quotient_dist_upper(p: CosetPoint, q: CosetPoint, restarts: int = 8, rng=0) -> float:

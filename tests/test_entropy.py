@@ -1,9 +1,7 @@
 """Packing/covering construction tests: brute-force circle oracles, seed
-stability, the linearized covering scheme and the two-sided bound
-evaluation."""
+stability and the two-sided bound evaluation."""
 
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -21,9 +19,7 @@ from unicover.entropy import (
     greedy_net,
     greedy_packing,
     dists_to_centers,
-    linearized_cover,
     theorem8_bounds,
-    theorem11_gate,
     verify_separated,
 )
 
@@ -288,7 +284,7 @@ class TestBlockedLoops:
         # one, and the Frobenius norm switches the bare group's off
         so4, u3 = HomSpace(GroupSpec("SO", 4)), GroupSpec("U", 3)
         special, u3_frob = HomSpace(u3, SubgroupSpec.special()), HomSpace(u3, norm=FROBENIUS)
-        for space, net in [(G31_REAL, linearized_cover(G31_REAL, 0.8)),
+        for space, net in [(G31_REAL, greedy_net(G31_REAL, 0.8, 200, 200, rng=1)),
                            (G42, greedy_net(G42, 0.7, 200, 200, rng=1)),
                            (so4, greedy_net(so4, 0.9, 200, 200, rng=1)),
                            (special, greedy_net(special, 0.2, 200, 200, rng=1)),
@@ -502,10 +498,15 @@ class TestGreedyCurve:
         (HomSpace(GroupSpec("U", 3), norm=FROBENIUS), (2.5, 2.0, 1.5), 80, 80),
         # the budget runs out at 0.9 already, where the last bounds are used
         (G42, (1.2, 0.9, 0.6), 10, 200),
+        # no fibre: the group's own distance is the closed form
+        (HomSpace(GroupSpec("SO", 3), SubgroupSpec.block_diagonal([1, 1, 1])), (1.2, 0.8, 0.5), 60, 60),
+        (HomSpace(GroupSpec("SO", 4)), (1.2, 0.9, 0.7), 60, 80),
+        (HomSpace(GroupSpec("U", 3), norm=NormSpec.schatten(1)), (3.0, 2.4, 1.8), 60, 60),
     ], ids=["U4-grassmann2-probes-above", "U4-grassmann2-probes-below", "SO3-equal",
             "U3-probes-above", "U3-special-probes-below", "U3-special-packing", "SO3-grassmann1-packing",
             "U4-grassmann2-equal", "U5-grassmann3-equal", "U6-grassmann3-equal", "U3-frobenius-equal",
-            "U4-grassmann2-exhausted-above-smallest"])
+            "U4-grassmann2-exhausted-above-smallest", "SO3-block111-equal", "SO4-probes-above",
+            "U3-schatten1-equal"])
     def test_matches_per_epsilon_calls(self, space, grid, budget, probe_budget):
         for seed in (0, 1):
             self.assert_matches(space, grid, budget, probe_budget, seed)
@@ -516,6 +517,19 @@ class TestGreedyCurve:
         # candidate beyond its net
         space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
         self.assert_matches(space, (1.2, 0.8), 4, 3, 0)
+
+    def test_searched_distances_are_not_taken_as_symmetric(self, monkeypatch):
+        # a search made strongly asymmetric, d(a, b) halved when tr(a) lies
+        # right of tr(b): the curve takes neither net unchecked nor a
+        # candidate as covered, as only a closed form would allow
+        def search(space, u, v, restarts, rng):
+            d = float(metrics._phase_dists(u, v, space.norm))
+            return d if np.trace(u).real < np.trace(v).real else 0.5 * d
+        monkeypatch.setattr(metrics, "_optimize_coset_dist", search)
+        space = HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]))
+        assert not metrics._closed_form(space)
+        for seed in (0, 1):
+            self.assert_matches(space, (1.2, 0.8, 0.5), 30, 30, seed)
 
     def assert_matches(self, space, grid, budget, probe_budget, seed):
         want = self.per_epsilon(space, grid, budget, probe_budget, seed)
@@ -573,68 +587,6 @@ class TestChain:
             chain_consistent(net, pack)
 
 
-class TestLinearizedCover:
-    def test_kappa_gate(self):
-        circle = HomSpace(GroupSpec("U", 2), SubgroupSpec.special())
-        with pytest.raises(InvalidArgumentError):
-            linearized_cover(circle, 0.5)
-        # override lets it through
-        res = linearized_cover(circle, 2.0, override_kappa_gate=True)
-        assert res.count >= 1
-
-    def test_epsilon_above_diameter_single_center(self):
-        res = linearized_cover(G31_REAL, 2.0)
-        assert res.count == 1
-
-    def test_probe_certification(self):
-        res = linearized_cover(G31_REAL, 0.8)
-        worst = certify_cover(G31_REAL, res, probe_budget=2000, rng=0)
-        assert worst <= 0.8 + 0.05
-
-    def test_count_scaling_slope(self):
-        # halving epsilon should scale the count like 2^dim
-        n1 = linearized_cover(G31_REAL, 1.2).count
-        n2 = linearized_cover(G31_REAL, 0.6).count
-        slope = np.log(n2 / n1) / np.log(2)
-        d = G31_REAL.dim
-        assert abs(slope - d) <= 0.25 * d
-
-    def test_invalid_epsilon(self):
-        with pytest.raises(InvalidArgumentError):
-            linearized_cover(G31_REAL, -1.0)
-
-    @pytest.mark.parametrize("norm", [FROBENIUS, NormSpec.schatten(1)])
-    def test_refuses_non_operator_norm(self, norm):
-        # the lattice ball, its reach and its mesh are operator-norm
-        # quantities, so in another norm its centres certify nothing
-        space = HomSpace(G31_REAL.group, G31_REAL.subgroup, norm)
-        with pytest.raises(InvalidArgumentError, match="operator norm"):
-            linearized_cover(space, 0.8)
-        # schatten(inf) is the operator norm
-        inf = HomSpace(G31_REAL.group, G31_REAL.subgroup, NormSpec.schatten(np.inf))
-        assert linearized_cover(inf, 0.8).count == linearized_cover(G31_REAL, 0.8).count
-
-    @pytest.mark.parametrize("space, epsilon", [
-        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])), 0.8),
-        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])), 2.0),
-        (HomSpace(GroupSpec("SO", 4), SubgroupSpec.tensor_factor(2, 2)), 1.0),
-    ], ids=["U3-block111-0.8", "U3-block111-2.0", "SO4-tensor2x2-1.0"])
-    def test_refuses_unknown_diameter_at_once(self, space, epsilon):
-        # a sampled diameter is a lower bound, the wrong side for the reach
-        # of a covering ball, so no search for one may run
-        t0 = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="diameter"):
-            linearized_cover(space, epsilon, override_kappa_gate=True)
-        assert time.perf_counter() - t0 < 1.0
-
-    def test_refuses_oversized_lattice(self):
-        # 41^8 lattice points on U(4)/G(4,2) at epsilon = 0.45
-        t0 = time.perf_counter()
-        with pytest.raises(InvalidArgumentError, match="lattice cube"):
-            linearized_cover(G42, 0.45)
-        assert time.perf_counter() - t0 < 1.0
-
-
 class TestTheorem8Bounds:
     def test_grassmann_values_plugged(self):
         space = HomSpace(GroupSpec("SO", 4), SubgroupSpec.grassmann(2))
@@ -662,30 +614,6 @@ class TestTheorem8Bounds:
     def test_constants_carried(self):
         rep = theorem8_bounds(G31_REAL, 0.5, c=0.1, C=5.0)
         assert rep.c == 0.1 and rep.C == 5.0
-
-
-class TestTheorem11Gate:
-    def test_trivial_subgroup_branch_a(self):
-        space = HomSpace(GroupSpec("U", 3), SubgroupSpec.trivial())
-        out = theorem11_gate(space, 1.0 / 3)
-        assert out["branch"] == "a"
-        assert out["satisfied"]
-
-    def test_tensor_factor_branch_b(self):
-        space = HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2))
-        out = theorem11_gate(space, 1.0 / 3)
-        assert out["branch"] == "b"
-
-    def test_big_block_branch_c(self):
-        space = HomSpace(GroupSpec("U", 3),
-                         SubgroupSpec.block_diagonal([2, 1]))
-        out = theorem11_gate(space, 1.0 / 3)
-        assert out["branch"] in ("a", "b", "c")
-        assert out["satisfied"]
-
-    def test_alpha_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            theorem11_gate(G31_REAL, 0.7)
 
 
 class TestPointDist:
@@ -786,7 +714,6 @@ class TestEntryChecks:
                 f"greedy_net(epsilon={e})": lambda rng, e=e: greedy_net(G42, e, 5, 20, rng=rng),
                 f"greedy_curve(epsilon={e})": lambda rng, e=e: greedy_curve(G42, [0.9, e], 5, 20, rng=rng),
                 f"verify_separated(epsilon={e})": lambda rng, e=e: verify_separated(G42, net.points, e),
-                f"linearized_cover(epsilon={e})": lambda rng, e=e: linearized_cover(G42, e),
                 f"theorem8_bounds(epsilon={e})": lambda rng, e=e: theorem8_bounds(G42, e),
             })
         for name, call in calls.items():

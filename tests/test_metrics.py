@@ -368,6 +368,35 @@ class TestClosedFormsMatchOptimizer:
             space = HomSpace(GroupSpec("U", 4), sub)
             assert space.subgroup.exact_dists(u, u, space.norm) is None
 
+    @pytest.mark.parametrize("space, closed", [
+        (HomSpace(GroupSpec("U", 3)), True),
+        (HomSpace(GroupSpec("SO", 4)), True),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special()), True),
+        (HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2)), True),
+        (HomSpace(GroupSpec("SO", 3), SubgroupSpec.grassmann(1)), True),
+        (HomSpace(GroupSpec("SO", 3), SubgroupSpec.block_diagonal([1, 1, 1])), True),
+        (HomSpace(GroupSpec("U", 3), norm=FROBENIUS), True),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1])), False),
+        (HomSpace(GroupSpec("U", 4), SubgroupSpec.tensor_factor(2, 2)), False),
+        # the route does not depend on the norm
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.special(), FROBENIUS), True),
+        (HomSpace(GroupSpec("U", 4), SubgroupSpec.grassmann(2), NormSpec.schatten(1)), True),
+        (HomSpace(GroupSpec("U", 3), SubgroupSpec.block_diagonal([1, 1, 1]), FROBENIUS), False),
+    ], ids=["U3", "SO4", "U3-special", "U4-grassmann2", "SO3-grassmann1",
+            "SO3-block111", "U3-frobenius", "U3-block111", "U4-tensor2x2",
+            "U3-special-frobenius", "U4-grassmann2-schatten1", "U3-block111-frobenius"])
+    def test_closed_form_predicate_is_the_route_dists_takes(self, space, closed, monkeypatch):
+        # the predicate names the spaces _dists answers without a coset
+        # search, and _dists runs exactly one search per pair elsewhere
+        searches = []
+        search = metrics._optimize_coset_dist
+        monkeypatch.setattr(metrics, "_optimize_coset_dist",
+                            lambda *args: searches.append(1) or search(*args))
+        assert metrics._closed_form(space) is closed
+        pts = haar_samples(space.group, np.random.default_rng(3), 2)
+        _dists(space, pts[0], pts[1])
+        assert len(searches) == (0 if closed else 1)
+
 
 def _reference_optimize(p, q, restarts=8, max_iter=200, rng=0):
     """The coset search as first written: the objective combines the basis
